@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mdacache/internal/isa"
+	"mdacache/internal/obs"
 	"mdacache/internal/sim"
 )
 
@@ -100,46 +101,47 @@ func TestArenaStoreHeapStaysFlat(t *testing.T) {
 	runtime.KeepAlive(s)
 }
 
-// TestShardedSteadyStateZeroAlloc pins that the sharded dispatch path —
-// request pool, shard inboxes, epoch windows, merge buffer, delivery table —
-// allocates nothing once warm.
-func TestShardedSteadyStateZeroAlloc(t *testing.T) {
-	q := &sim.EventQueue{}
-	m, err := NewSharded(q, DefaultParams(), 2, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := m.Sharded()
-	done := func(uint64, *[isa.WordsPerLine]uint64) {}
-	lines := make([]isa.LineID, 16)
-	for i := range lines {
-		lines[i] = isa.LineID{Base: uint64(i) * isa.TileSize, Orient: isa.Row}
-	}
-	step := func() {
-		at := q.Now()
-		for _, ln := range lines {
-			m.Fill(at, ln, done)
+// TestSteadyStateZeroAlloc pins that the memory controller — request pool,
+// channel queues, bank retries, completion dispatch, fault retries —
+// allocates nothing once warm, with fault injection off and on.
+func TestSteadyStateZeroAlloc(t *testing.T) {
+	for _, prob := range []float64{0, 0.2} {
+		q := &sim.EventQueue{}
+		p := DefaultParams()
+		p.WriteFailProb = prob
+		m, err := New(q, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for {
-			tF, okF := q.NextAt()
-			tS, okS := eng.NextAt()
-			if !okF && !okS {
-				break
-			}
-			tt := tF
-			if !okF || (okS && tS < tF) {
-				tt = tS
-			}
-			end := tt + eng.Quantum() - 1
-			q.RunWindow(end)
-			eng.RunEpoch(end)
-			eng.Deliver()
+		m.Instrument(obs.NewRegistry(), nil)
+		done := func(uint64, *[isa.WordsPerLine]uint64) {}
+		var data [isa.WordsPerLine]uint64
+		var lines []isa.LineID
+		for i := uint64(0); i < 8; i++ {
+			lines = append(lines,
+				isa.LineID{Base: i * isa.TileSize, Orient: isa.Row},
+				isa.LineID{Base: i*isa.TileSize + 3*isa.WordSize, Orient: isa.Col})
 		}
-	}
-	for i := 0; i < 8; i++ {
-		step() // warm pools, wheel slabs, inboxes, merge buffer
-	}
-	if avg := testing.AllocsPerRun(50, step); avg != 0 {
-		t.Fatalf("sharded steady state allocates %.2f allocs/run, want 0", avg)
+		step := func() {
+			at := q.Now()
+			for i, ln := range lines {
+				m.Fill(at, ln, done)
+				data[0] = uint64(i)
+				m.Writeback(at, ln, 0x0f, data)
+			}
+			q.Run(0)
+		}
+		for i := 0; i < 8; i++ {
+			step() // warm the request pool, wheel slabs and store tiles
+		}
+		if avg := testing.AllocsPerRun(50, step); avg != 0 {
+			t.Fatalf("WriteFailProb=%g: steady state allocates %.2f allocs/run, want 0", prob, avg)
+		}
+		if err := q.Err(); err != nil {
+			t.Fatalf("WriteFailProb=%g: %v", prob, err)
+		}
+		if prob > 0 && m.Stats().WriteRetries == 0 {
+			t.Fatalf("WriteFailProb=%g: no write retries injected", prob)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"os"
@@ -28,13 +29,16 @@ func leaseStore(t *testing.T) (*store, string) {
 // out the wall clock).
 func expireLease(t *testing.T, st *store, id string) {
 	t.Helper()
-	rec, err := st.loadJob(id)
+	err := st.withJobLock(id, func() error {
+		rec, err := st.loadJob(id)
+		if err != nil {
+			return err
+		}
+		rec.LeaseUntilMS = 1
+		return st.saveJob(rec)
+	})
 	if err != nil {
-		t.Fatalf("loadJob: %v", err)
-	}
-	rec.LeaseUntilMS = 1
-	if err := st.saveJob(rec); err != nil {
-		t.Fatalf("saveJob: %v", err)
+		t.Fatalf("expire lease: %v", err)
 	}
 }
 
@@ -161,16 +165,31 @@ func TestLeaseFencesLateCheckpoint(t *testing.T) {
 func TestStealDuringFinalFlush(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
+	// The sweep is entered only after runJob has persisted the running
+	// record (with a fresh lease), so once entered signals, no owner write
+	// can land on job.json before the sweep returns.
+	entered := make(chan struct{}, 1)
+	sweep := blockingSweep(release)
 	// Lease of an hour: the fleet loop ticks every Lease/3, so neither
 	// renewal nor stealing interferes with the manually-staged race.
 	s, ts := testServer(t, Options{
 		StateDir: dir, NodeID: "a", Advertise: "http://a", Lease: time.Hour,
-		runSweep: blockingSweep(release),
+		runSweep: func(ctx context.Context, specs []experiments.RunSpec, opt experiments.SweepOptions) ([]experiments.SweepRun, error) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			return sweep(ctx, specs, opt)
+		},
 	})
 
 	var resp SubmitResponse
 	doJSON(t, "POST", ts.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}}, &resp)
-	waitFor(t, func() bool { return s.Health().Running == 1 })
+	select {
+	case <-entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("sweep not entered within 60s")
+	}
 
 	// The steal lands while the sweep is still in flight: epoch moves 1 -> 2.
 	st2, err := newStore(dir)

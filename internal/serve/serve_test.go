@@ -460,6 +460,51 @@ func TestRestartResume(t *testing.T) {
 	}
 }
 
+// TestParentFormatJobRecordRuns: testdata/parent_job.json is a job.json
+// written by saveJob while RunSpec still carried the sharded-engine fields,
+// so its spec holds three keys RunSpec no longer has. It must still decode
+// (the keys are ignored) and run to done after a restart, with the results
+// of the same spec run fresh.
+func TestParentFormatJobRecordRuns(t *testing.T) {
+	dir := t.TempDir()
+	st, err := newStore(dir)
+	if err != nil {
+		t.Fatalf("newStore: %v", err)
+	}
+	rec, err := os.ReadFile("testdata/parent_job.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(st.jobDir("old"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(st.jobPath("old"), rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	spec := mustSpec(t, smallSpec(16, 0))
+	loaded, err := st.loadJob("old")
+	if err != nil {
+		t.Fatalf("loadJob: %v", err)
+	}
+	if len(loaded.Specs) != 1 || loaded.Specs[0] != spec {
+		t.Fatalf("loaded specs %+v, want [%+v]", loaded.Specs, spec)
+	}
+
+	golden, err := experiments.RunSweep(context.Background(), []experiments.RunSpec{spec}, experiments.SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("golden sweep: %v", err)
+	}
+	_, ts := testServer(t, Options{StateDir: dir, CacheSpecs: -1})
+	got := waitDone(t, ts, "old")
+	if got.State != StateDone {
+		t.Fatalf("parent-format job: %s (err %v), want done", got.State, got.Error)
+	}
+	if err := experiments.DiffRunResults(golden, got.Runs); err != nil {
+		t.Fatalf("parent-format job results differ from a fresh run: %v", err)
+	}
+}
+
 // TestEventsStream reads the NDJSON stream end to end and pins the event
 // contract: dense sequence numbers, a queued→running→done state arc, and one
 // run event per spec carrying metrics.
