@@ -112,24 +112,127 @@ func (g *gen) run() {
 		if g.stopped {
 			return
 		}
-		g.nest(&g.p.Kernel.Nests[ni])
+		g.nest(resolveNest(&g.p.Kernel.Nests[ni], g.p.Target.Logical2D))
 	}
 }
 
-func (g *gen) nest(n *Nest) {
-	env := make(map[string]int, len(n.Loops))
-	if len(n.Loops) == 0 {
+// affine is an Expr resolved against one nest: each loop index is replaced
+// by its loop's depth, so evaluation reads an []int environment indexed by
+// depth instead of looking names up in a map.
+type affine struct {
+	cnst  int
+	terms []affineTerm
+}
+
+type affineTerm struct{ depth, coeff int }
+
+// resolve binds e's indices to the depths in depthOf. An index the nest
+// does not declare (Validate rejects these) evaluates as 0, as an unbound
+// name does under Expr.Eval.
+func resolve(e Expr, depthOf map[string]int) affine {
+	a := affine{cnst: e.Const()}
+	for _, name := range e.Indices() {
+		if d, ok := depthOf[name]; ok {
+			a.terms = append(a.terms, affineTerm{depth: d, coeff: e.Coeff(name)})
+		}
+	}
+	return a
+}
+
+func (a *affine) eval(env []int) int {
+	v := a.cnst
+	for _, t := range a.terms {
+		v += t.coeff * env[t.depth]
+	}
+	return v
+}
+
+// cloop is a loop with resolved bounds.
+type cloop struct{ lo, hi affine }
+
+// cref is a reference with resolved subscripts and its innermost-loop
+// analysis.
+type cref struct {
+	array    *Array
+	row, col affine
+	pc       uint32
+	write    bool
+	a        analysis
+}
+
+// cstmt is a statement with resolved references and its vectorization plan.
+type cstmt struct {
+	compute   uint32
+	vectorize bool
+	refs      []cref
+}
+
+// cnest is a nest prepared for generation: its loops, statements and their
+// plans depend only on the nest and the target, so they are built once per
+// nest rather than once per run of the innermost loop.
+type cnest struct {
+	loops []cloop
+	body  []cstmt
+}
+
+func resolveNest(n *Nest, logical2D bool) *cnest {
+	depthOf := make(map[string]int, len(n.Loops))
+	cn := &cnest{loops: make([]cloop, len(n.Loops)), body: make([]cstmt, len(n.Body))}
+	for d, l := range n.Loops {
+		// Bounds see only the enclosing loops, as in Validate.
+		cn.loops[d] = cloop{lo: resolve(l.Lo, depthOf), hi: resolve(l.Hi, depthOf)}
+		depthOf[l.Index] = d
+	}
+	var plans []stmtPlan
+	if len(n.Loops) > 0 {
+		enclosing := make([]string, 0, len(n.Loops)-1)
+		for _, l := range n.Loops[:len(n.Loops)-1] {
+			enclosing = append(enclosing, l.Index)
+		}
+		v := n.Loops[len(n.Loops)-1].Index
+		plans = make([]stmtPlan, len(n.Body))
+		for si, s := range n.Body {
+			plans[si] = planStmt(s, v, enclosing, logical2D)
+		}
+	}
+	for si, s := range n.Body {
+		cs := &cn.body[si]
+		cs.compute = uint32(s.Compute)
+		cs.refs = make([]cref, len(s.Refs))
+		if plans != nil {
+			cs.vectorize = plans[si].vectorize
+		}
+		for ri, ref := range s.Refs {
+			cr := cref{
+				array: ref.Array, pc: ref.pc, write: ref.Write,
+				row: resolve(ref.Row, depthOf), col: resolve(ref.Col, depthOf),
+			}
+			if plans != nil {
+				cr.a = plans[si].refs[ri]
+			} else {
+				cr.a.orient = analyzeOrientStatic(ref, logical2D)
+			}
+			cs.refs[ri] = cr
+		}
+	}
+	return cn
+}
+
+func (g *gen) nest(n *cnest) {
+	env := make([]int, len(n.loops))
+	if len(n.loops) == 0 {
 		// Straight-line: every ref executes once, loads before stores.
-		for _, s := range n.Body {
-			g.pending += uint32(s.Compute)
-			for _, ref := range s.Refs {
-				if !ref.Write {
-					g.scalarRef(ref, env, analyzeOrientStatic(ref, g.p.Target.Logical2D))
+		for si := range n.body {
+			s := &n.body[si]
+			g.pending += s.compute
+			for ri := range s.refs {
+				if !s.refs[ri].write {
+					g.scalarRef(&s.refs[ri], env)
 				}
 			}
-			for _, ref := range s.Refs {
-				if ref.Write {
-					g.scalarRef(ref, env, analyzeOrientStatic(ref, g.p.Target.Logical2D))
+			for ri := range s.refs {
+				if s.refs[ri].write {
+					g.scalarRef(&s.refs[ri], env)
 				}
 			}
 		}
@@ -140,106 +243,98 @@ func (g *gen) nest(n *Nest) {
 
 // loops recurses over the outer loops; the innermost level runs the
 // vectorization plan.
-func (g *gen) loops(n *Nest, depth int, env map[string]int) {
+func (g *gen) loops(n *cnest, depth int, env []int) {
 	if g.stopped {
 		return
 	}
-	l := n.Loops[depth]
-	lo, hi := l.Lo.Eval(env), l.Hi.Eval(env)
-	if depth == len(n.Loops)-1 {
-		g.innermost(n, env, l.Index, lo, hi)
+	l := &n.loops[depth]
+	lo, hi := l.lo.eval(env), l.hi.eval(env)
+	if depth == len(n.loops)-1 {
+		g.innermost(n, env, depth, lo, hi)
 		return
 	}
 	for v := lo; v < hi && !g.stopped; v++ {
-		env[l.Index] = v
+		env[depth] = v
 		g.loops(n, depth+1, env)
 	}
-	delete(env, l.Index)
 }
 
-// innermost executes one instance of the innermost loop: hoisted loads,
-// peel/vector/tail per statement plan, hoisted stores.
-func (g *gen) innermost(n *Nest, env map[string]int, v string, lo, hi int) {
+// innermost executes one instance of the innermost loop (index env[v]):
+// hoisted loads, peel/vector/tail per statement plan, hoisted stores.
+func (g *gen) innermost(n *cnest, env []int, v, lo, hi int) {
 	if hi <= lo {
 		return
-	}
-	enclosing := make([]string, 0, len(n.Loops)-1)
-	for _, l := range n.Loops[:len(n.Loops)-1] {
-		enclosing = append(enclosing, l.Index)
-	}
-	plans := make([]stmtPlan, len(n.Body))
-	for si, s := range n.Body {
-		plans[si] = planStmt(s, v, enclosing, g.p.Target.Logical2D)
 	}
 
 	// Hoisted loads (invariant reads) once per instance.
 	env[v] = lo
-	for si, s := range n.Body {
-		for ri, ref := range s.Refs {
-			if plans[si].refs[ri].class == refInvariant && !ref.Write {
-				g.scalarRef(ref, env, plans[si].refs[ri].orient)
+	for si := range n.body {
+		for ri := range n.body[si].refs {
+			r := &n.body[si].refs[ri]
+			if r.a.class == refInvariant && !r.write {
+				g.scalarRef(r, env)
 			}
 		}
 	}
 
-	for si, s := range n.Body {
-		plan := &plans[si]
-		if plan.vectorize {
+	for si := range n.body {
+		s := &n.body[si]
+		if s.vectorize {
 			x := lo
 			for x < hi && x%8 != 0 {
-				g.scalarIter(s, plan, env, v, x)
+				g.scalarIter(s, env, v, x)
 				x++
 			}
 			for x+8 <= hi {
-				g.vectorChunk(s, plan, env, v, x)
+				g.vectorChunk(s, env, v, x)
 				x += 8
 			}
 			for x < hi {
-				g.scalarIter(s, plan, env, v, x)
+				g.scalarIter(s, env, v, x)
 				x++
 			}
 		} else {
 			for x := lo; x < hi && !g.stopped; x++ {
-				g.scalarIter(s, plan, env, v, x)
+				g.scalarIter(s, env, v, x)
 			}
 		}
 	}
 
 	// Hoisted stores (invariant writes) once per instance.
 	env[v] = lo
-	for si, s := range n.Body {
-		for ri, ref := range s.Refs {
-			if plans[si].refs[ri].class == refInvariant && ref.Write {
-				g.scalarRef(ref, env, plans[si].refs[ri].orient)
+	for si := range n.body {
+		for ri := range n.body[si].refs {
+			r := &n.body[si].refs[ri]
+			if r.a.class == refInvariant && r.write {
+				g.scalarRef(r, env)
 			}
 		}
 	}
-	delete(env, v)
 }
 
 // scalarIter emits the statement's non-invariant refs for iteration x.
-func (g *gen) scalarIter(s Stmt, plan *stmtPlan, env map[string]int, v string, x int) {
+func (g *gen) scalarIter(s *cstmt, env []int, v, x int) {
 	env[v] = x
-	g.pending += uint32(s.Compute)
-	for ri, ref := range s.Refs {
-		if plan.refs[ri].class == refInvariant {
+	g.pending += s.compute
+	for ri := range s.refs {
+		if s.refs[ri].a.class == refInvariant {
 			continue
 		}
-		g.scalarRef(ref, env, plan.refs[ri].orient)
+		g.scalarRef(&s.refs[ri], env)
 	}
 }
 
 // vectorChunk emits the statement's refs for iterations [x, x+8).
-func (g *gen) vectorChunk(s Stmt, plan *stmtPlan, env map[string]int, v string, x int) {
+func (g *gen) vectorChunk(s *cstmt, env []int, v, x int) {
 	env[v] = x
-	g.pending += uint32(s.Compute)
-	for ri, ref := range s.Refs {
-		a := plan.refs[ri]
-		switch a.class {
+	g.pending += s.compute
+	for ri := range s.refs {
+		r := &s.refs[ri]
+		switch r.a.class {
 		case refInvariant:
 			continue
 		case refRowStream, refColStream:
-			g.vectorRef(ref, a, env, v, x)
+			g.vectorRef(r, env, v, x)
 		default:
 			panic("compiler: irregular ref in vectorized statement")
 		}
@@ -249,38 +344,38 @@ func (g *gen) vectorChunk(s Stmt, plan *stmtPlan, env map[string]int, v string, 
 // vectorRef emits the vector op(s) covering elements x+offset .. x+offset+7
 // along the streaming dimension. Aligned accesses are one line; offset
 // (unaligned) loads cover two.
-func (g *gen) vectorRef(ref Ref, a analysis, env map[string]int, v string, x int) {
+func (g *gen) vectorRef(r *cref, env []int, v, x int) {
 	kind := isa.Load
-	if ref.Write {
+	if r.write {
 		kind = isa.Store
 	}
 	// Element coordinates at the chunk start.
 	env[v] = x
-	i0, j0 := ref.Row.Eval(env), ref.Col.Eval(env)
-	first := ref.Array.Addr(i0, j0)
+	first := r.array.Addr(r.row.eval(env), r.col.eval(env))
 	env[v] = x + 7
-	last := ref.Array.Addr(ref.Row.Eval(env), ref.Col.Eval(env))
+	last := r.array.Addr(r.row.eval(env), r.col.eval(env))
 	env[v] = x
 
-	lineA := isa.LineOf(first, a.orient)
-	lineB := isa.LineOf(last, a.orient)
-	g.out(isa.Op{Addr: lineA.Base, PC: ref.pc, Kind: kind, Orient: a.orient, Vector: true})
+	orient := r.a.orient
+	lineA := isa.LineOf(first, orient)
+	lineB := isa.LineOf(last, orient)
+	g.out(isa.Op{Addr: lineA.Base, PC: r.pc, Kind: kind, Orient: orient, Vector: true})
 	if lineB != lineA {
-		if ref.Write {
+		if r.write {
 			panic("compiler: unaligned vector store should have been rejected by planStmt")
 		}
-		g.out(isa.Op{Addr: lineB.Base, PC: ref.pc, Kind: kind, Orient: a.orient, Vector: true})
+		g.out(isa.Op{Addr: lineB.Base, PC: r.pc, Kind: kind, Orient: orient, Vector: true})
 	}
 }
 
 // scalarRef emits one scalar op for the reference at the current env.
-func (g *gen) scalarRef(ref Ref, env map[string]int, orient isa.Orient) {
+func (g *gen) scalarRef(r *cref, env []int) {
 	kind := isa.Load
-	if ref.Write {
+	if r.write {
 		kind = isa.Store
 	}
-	addr := ref.Array.Addr(ref.Row.Eval(env), ref.Col.Eval(env))
-	g.out(isa.Op{Addr: addr, PC: ref.pc, Kind: kind, Orient: orient})
+	addr := r.array.Addr(r.row.eval(env), r.col.eval(env))
+	g.out(isa.Op{Addr: addr, PC: r.pc, Kind: kind, Orient: r.a.orient})
 }
 
 // analyzeOrientStatic derives the preference for straight-line refs: row

@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"mdacache/internal/isa"
@@ -83,5 +84,112 @@ func TestPrefetchObserveAllocFree(t *testing.T) {
 		p.observe(op)
 	}); n != 0 {
 		t.Fatalf("confident observe allocates %v times per trigger, want 0", n)
+	}
+}
+
+// loopTrace replays its ops forever: an endless trace for steady-state
+// pins.
+type loopTrace struct {
+	ops []isa.Op
+	i   int
+}
+
+func (t *loopTrace) Next() (isa.Op, bool) {
+	op := t.ops[t.i]
+	t.i = (t.i + 1) % len(t.ops)
+	return op, true
+}
+
+// storeThenLoad returns ops that keep a scalar store in flight and hold the
+// load of the same word behind it on the overlap-ordering rule, over a
+// vector load and store of other lines of the tile.
+func storeThenLoad(base uint64) []isa.Op {
+	return []isa.Op{
+		{Addr: base + 0x08, Kind: isa.Store, Value: 1},
+		{Addr: base + 0x08, Kind: isa.Load},
+		{Addr: base + 0x10, Orient: isa.Col, Vector: true},
+		{Addr: base + 0x80, Kind: isa.Store, Vector: true},
+		{Addr: base + 0x98, Kind: isa.Load},
+	}
+}
+
+// pinIssueRetire starts one endless trace per core, warms the machine, then
+// pins steady-state issue→retire — every run with a store in flight and an
+// op held on the overlap rule — at 0 allocations.
+func pinIssueRetire(t *testing.T, m *Machine, traces ...isa.TraceReader) {
+	t.Helper()
+	for i, c := range m.CPUs {
+		c.Start(traces[i], func(uint64) {})
+	}
+	m.Q.RunBounded(0, 20000) // warm caches, slot pools and the event queue
+	stalls := func() (n uint64) {
+		for _, c := range m.CPUs {
+			n += c.OrderStalls
+		}
+		return n
+	}
+	const runs = 200
+	before := stalls()
+	if n := testing.AllocsPerRun(runs, func() {
+		m.Q.RunBounded(0, 64)
+	}); n != 0 {
+		t.Fatalf("CPU issue→retire allocates %v times per 64 events, want 0", n)
+	}
+	if err := m.Q.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stalls() - before; got < runs {
+		t.Fatalf("%d order stalls over %d runs: the pin must hold an op on the overlap rule every run", got, runs)
+	}
+}
+
+// TestCPUIssueRetireAllocFree pins the single-core CPU front end: issue, the
+// occupancy-index check, the order-stall hold and retire allocate nothing.
+func TestCPUIssueRetireAllocFree(t *testing.T) {
+	m, err := Build(DefaultConfig(D1DiffSet, 1*MB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinIssueRetire(t, m, &loopTrace{ops: storeThenLoad(0x10000)})
+}
+
+// TestCPUIssueRetireAllocFreeTwoCores pins the same on a 2-core Build, whose
+// cores share one occupancy index and contend for one tile.
+func TestCPUIssueRetireAllocFreeTwoCores(t *testing.T) {
+	cfg := DefaultConfig(D1DiffSet, 1*MB)
+	cfg.Cores = 2
+	m, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinIssueRetire(t, m,
+		&loopTrace{ops: storeThenLoad(0x10000)},
+		&loopTrace{ops: storeThenLoad(0x10000)})
+}
+
+// TestBuildFootprint pins the bytes core.Build allocates, which dominate a
+// short run's setup time: the bounds are what Build allocated before the
+// Cache1P tag/metadata/data split, so the split and the occupancy index
+// together must not grow a machine.
+func TestBuildFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		design Design
+		cores  int
+		max    uint64
+	}{
+		{D0Baseline, 1, 2287480},
+		{D2Sparse, 4, 1849024},
+	} {
+		cfg := DefaultConfig(tc.design, 1*MB)
+		cfg.Cores = tc.cores
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > tc.max {
+			t.Errorf("Build(%v, %d cores) allocates %d B, want ≤ %d B", tc.design, tc.cores, got, tc.max)
+		}
 	}
 }

@@ -8,19 +8,32 @@ import (
 	"mdacache/internal/sim"
 )
 
-// line is one physically-1-D cache line: 64 bytes stored densely, holding
-// either a row or a column of a tile. The Dir(ection) status bit of Fig. 7
-// is the Orient field of the LineID; the per-word dirty bits (§IV-C,
-// Design 1: "1 extra dirty bit ... for each word in the cache line") are the
-// dirty mask.
-type line struct {
-	id         isa.LineID
-	valid      bool
+// A physically-1-D cache line — 64 bytes stored densely, holding either a
+// row or a column of a tile — is one way of the cache's three set-major
+// arrays, all indexed by way number set*assoc+way (the FlexiCAS
+// tag/meta/data split):
+//
+//   - keys[w] is the line's identity, lineKey(id)|lineValid, or 0 when the
+//     way is invalid. It is the only array a lookup reads. The Dir(ection)
+//     status bit of Fig. 7 is the key's orientation bit.
+//   - meta[w] is the way's replacement and coherence state; its per-word
+//     dirty bits are those of §IV-C, Design 1 ("1 extra dirty bit ... for
+//     each word in the cache line").
+//   - data[w] is the line's 8 words.
+type lineMeta struct {
+	lastUse    uint64
 	dirty      uint8
 	prefetched bool
-	lastUse    uint64
 	rrpv       uint8 // SRRIP re-reference counter
-	data       [isa.WordsPerLine]uint64
+}
+
+// lineValid marks a valid way's key. lineKey leaves bits 1-2 clear: every
+// line a cache holds is canonical, so its base is word-aligned.
+const lineValid = 2
+
+// keyID decodes a valid way's key back to the line identity.
+func keyID(k uint64) isa.LineID {
+	return isa.LineID{Base: k &^ (isa.WordSize - 1), Orient: isa.Orient(k & 1)}
 }
 
 // Cache1P is a physically 1-D, set-associative, write-back/write-allocate
@@ -39,7 +52,10 @@ type Cache1P struct {
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0 (modulo path)
 	sameSet bool   // logical2D && Mapping == SameSet, hoisted off the index path
 	hitLat  uint64 // HitLatency(), computed once
-	sets    [][]line
+	assoc   int
+	keys    []uint64                   // per way: lineKey|lineValid, 0 if invalid
+	meta    []lineMeta                 // per way
+	data    [][isa.WordsPerLine]uint64 // per way
 	mshr    *mshrFile
 	port    sim.Resource
 	// setArb, when non-nil (EnableSetArbitration), replaces the single
@@ -104,6 +120,10 @@ func NewCache1P(q *sim.EventQueue, p CacheParams, logical2D bool, below Backend)
 		nsets:   nsets,
 		sameSet: logical2D && p.Mapping == SameSet,
 		hitLat:  p.HitLatency(),
+		assoc:   p.Assoc,
+		keys:    make([]uint64, nsets*p.Assoc),
+		meta:    make([]lineMeta, nsets*p.Assoc),
+		data:    make([][isa.WordsPerLine]uint64, nsets*p.Assoc),
 		stats:   LevelStats{Name: p.Name},
 	}
 	if nsets&(nsets-1) == 0 {
@@ -112,11 +132,6 @@ func NewCache1P(q *sim.EventQueue, p CacheParams, logical2D bool, below Backend)
 	c.mshr = newMSHRFile(p.MSHRs, func(e *mshrEntry) {
 		e.onFill = func(at uint64, data *[isa.WordsPerLine]uint64) { c.fillArrived(at, e, data) }
 	})
-	c.sets = make([][]line, nsets)
-	backing := make([]line, nsets*p.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*p.Assoc : (i+1)*p.Assoc]
-	}
 	if p.PrefetchDegree > 0 {
 		c.pf = newStridePrefetcher(p.PrefetchDegree)
 	}
@@ -176,39 +191,45 @@ func (c *Cache1P) setIndex(id isa.LineID) int {
 	return int(num % uint64(c.nsets))
 }
 
-// find returns the resident line with the given identity, or nil.
-func (c *Cache1P) find(id isa.LineID) *line {
-	set := c.sets[c.setIndex(id)]
-	for i := range set {
-		if set[i].valid && set[i].id == id {
-			return &set[i]
+// find returns the way holding the resident line with the given identity,
+// or -1.
+func (c *Cache1P) find(id isa.LineID) int {
+	k := lineKey(id) | lineValid
+	b := c.setIndex(id) * c.assoc
+	for w, key := range c.keys[b : b+c.assoc] {
+		if key == k {
+			return b + w
 		}
 	}
-	return nil
+	return -1
 }
 
-func (c *Cache1P) touch(l *line) {
+// id returns the identity of the line in valid way w.
+func (c *Cache1P) id(w int) isa.LineID { return keyID(c.keys[w]) }
+
+func (c *Cache1P) touch(w int) {
 	c.useCounter++
-	l.lastUse = c.useCounter
+	c.meta[w].lastUse = c.useCounter
 }
 
 // noteDemandHit updates recency, SRRIP promotion and prefetch-usefulness
-// accounting on a demand hit.
-func (c *Cache1P) noteDemandHit(l *line) {
-	c.touch(l)
-	l.rrpv = 0 // SRRIP promotion on proven reuse
-	if l.prefetched {
-		l.prefetched = false
+// accounting on a demand hit of way w.
+func (c *Cache1P) noteDemandHit(w int) {
+	c.touch(w)
+	m := &c.meta[w]
+	m.rrpv = 0 // SRRIP promotion on proven reuse
+	if m.prefetched {
+		m.prefetched = false
 		c.stats.PrefetchUseful++
 	}
 	if c.tr != nil {
-		c.traceEv(c.q.Now(), "hit", l.id, 0)
+		c.traceEv(c.q.Now(), "hit", c.id(w), 0)
 	}
 }
 
-// intersectingDo invokes fn for every valid line of the opposite
+// intersectingDo invokes fn for the way of every valid line of the opposite
 // orientation in id's tile (the up-to-8 lines that cross id).
-func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m *line)) {
+func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m int)) {
 	if !c.logical2D {
 		return
 	}
@@ -224,75 +245,83 @@ func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m *line)) {
 		} else {
 			mid = isa.LineID{Base: tile + uint64(i)*isa.WordSize, Orient: isa.Col}
 		}
-		if m := c.find(mid); m != nil {
+		if m := c.find(mid); m >= 0 {
 			fn(m)
 		}
 	}
 }
 
-// writebackLine sends a line's dirty words below (full data, dirty mask).
+// writebackLine sends way w's dirty words below (full data, dirty mask).
 // Traffic is accounted at dirty-word granularity — the per-word dirty bits
 // of §IV-C exist precisely to shrink false-sharing writeback bandwidth.
-func (c *Cache1P) writebackLine(at uint64, l *line) {
+func (c *Cache1P) writebackLine(at uint64, w int) {
+	dirty := c.meta[w].dirty
 	c.stats.Writebacks++
-	c.stats.BytesToBelow += uint64(bits.OnesCount8(l.dirty)) * isa.WordSize
+	c.stats.BytesToBelow += uint64(bits.OnesCount8(dirty)) * isa.WordSize
 	if c.tr != nil {
-		c.traceEv(at, "writeback", l.id, uint64(l.dirty))
+		c.traceEv(at, "writeback", c.id(w), uint64(dirty))
 	}
-	c.below.Writeback(at, l.id, l.dirty, l.data)
+	c.below.Writeback(at, c.id(w), dirty, c.data[w])
 }
 
 // flushLine writes back a modified line and marks it clean (the
 // Modified→Clean "read to duplicate" transition of Fig. 9).
-func (c *Cache1P) flushLine(at uint64, l *line) {
-	if l.dirty != 0 {
-		c.writebackLine(at, l)
-		l.dirty = 0
+func (c *Cache1P) flushLine(at uint64, w int) {
+	if c.meta[w].dirty != 0 {
+		c.writebackLine(at, w)
+		c.meta[w].dirty = 0
 	}
+}
+
+// invalidate drops valid way w, which must already be clean.
+func (c *Cache1P) invalidate(w int) {
+	c.orientCount[c.keys[w]&1]--
+	c.keys[w] = 0
 }
 
 // evictDuplicate removes a duplicate copy (the Fig. 9 "write to duplicate"
 // transitions: Clean→Invalid directly; Modified→writeback→Invalid).
-func (c *Cache1P) evictDuplicate(at uint64, m *line) {
+func (c *Cache1P) evictDuplicate(at uint64, m int) {
 	if c.p.BreakDupCoherence {
 		return // testing-only coherence mutation, see CacheParams
 	}
+	id := c.id(m)
 	c.flushLine(at, m)
-	m.valid = false
-	c.orientCount[m.id.Orient]--
+	c.invalidate(m)
 	c.stats.DuplicateEvictions++
 	if c.tr != nil {
-		c.traceEv(at, "dup_evict", m.id, 0)
+		c.traceEv(at, "dup_evict", id, 0)
 	}
 }
 
-// victim picks the replacement way in a set: an invalid way if one exists,
-// otherwise the configured policy's choice.
-func (c *Cache1P) victim(set []line) *line {
-	for i := range set {
-		if !set[i].valid {
-			return &set[i]
+// victim picks the replacement way of one set, given the set's keys and
+// metadata: an invalid way if one exists, otherwise the configured policy's
+// choice. It returns the way's index within the set.
+func (c *Cache1P) victim(keys []uint64, meta []lineMeta) int {
+	for i, k := range keys {
+		if k == 0 {
+			return i
 		}
 	}
 	switch c.p.Repl {
 	case ReplRandom:
-		return &set[c.rng.Intn(len(set))]
+		return c.rng.Intn(len(keys))
 	case ReplSRRIP:
 		for {
-			for i := range set {
-				if set[i].rrpv >= srripMax {
-					return &set[i]
+			for i := range meta {
+				if meta[i].rrpv >= srripMax {
+					return i
 				}
 			}
-			for i := range set {
-				set[i].rrpv++
+			for i := range meta {
+				meta[i].rrpv++
 			}
 		}
 	default: // LRU
-		v := &set[0]
-		for i := range set {
-			if set[i].lastUse < v.lastUse {
-				v = &set[i]
+		v := 0
+		for i := range meta {
+			if meta[i].lastUse < meta[v].lastUse {
+				v = i
 			}
 		}
 		return v
@@ -306,32 +335,34 @@ func (c *Cache1P) victim(set []line) *line {
 // the incoming data; other resident dirty words take precedence over the
 // (older) incoming data. The merged data is written back into *data so
 // callers deliver fresh words upward.
-func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint64, dirtyMask, overrideMask uint8, prefetched bool) *line {
-	if l := c.find(id); l != nil {
+func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint64, dirtyMask, overrideMask uint8, prefetched bool) {
+	if l := c.find(id); l >= 0 {
+		m := &c.meta[l]
 		for i := uint(0); i < isa.WordsPerLine; i++ {
-			if l.dirty&(1<<i) != 0 && overrideMask&(1<<i) == 0 {
-				data[i] = l.data[i]
+			if m.dirty&(1<<i) != 0 && overrideMask&(1<<i) == 0 {
+				data[i] = c.data[l][i]
 			}
 		}
-		l.data = *data
-		l.dirty |= dirtyMask
+		c.data[l] = *data
+		m.dirty |= dirtyMask
 		c.touch(l)
-		return l
+		return
 	}
-	set := c.sets[c.setIndex(id)]
-	v := c.victim(set)
-	if v.valid {
+	b := c.setIndex(id) * c.assoc
+	v := b + c.victim(c.keys[b:b+c.assoc], c.meta[b:b+c.assoc])
+	if c.keys[v] != 0 {
 		c.stats.Evictions++
-		c.orientCount[v.id.Orient]--
-		if v.dirty != 0 {
+		c.orientCount[c.keys[v]&1]--
+		if c.meta[v].dirty != 0 {
 			c.writebackLine(at, v)
 		}
 	}
-	*v = line{id: id, valid: true, dirty: dirtyMask, prefetched: prefetched, data: *data}
+	c.keys[v] = lineKey(id) | lineValid
+	c.meta[v] = lineMeta{dirty: dirtyMask, prefetched: prefetched}
+	c.data[v] = *data
 	c.orientCount[id.Orient]++
 	c.touch(v)
-	v.rrpv = srripInsertRRPV
-	return v
+	c.meta[v].rrpv = srripInsertRRPV
 }
 
 // requestFill starts (or joins) a miss for id. t describes the consumer to
@@ -374,13 +405,14 @@ func (c *Cache1P) requestFill(at uint64, id isa.LineID, prefetch bool, t fillTar
 	// 2-D MSHR ordering (§IV-B): modified intersecting lines are written
 	// back *before* the fill is issued, so the level below observes the
 	// write→read order for the overlapping words.
-	c.intersectingDo(id, func(m *line) {
-		if addr, ok := m.id.Intersection(id); ok {
-			if off, ok := m.id.WordOffset(addr); ok && m.dirty&(1<<off) != 0 {
+	c.intersectingDo(id, func(m int) {
+		mid := c.id(m)
+		if addr, ok := mid.Intersection(id); ok {
+			if off, ok := mid.WordOffset(addr); ok && c.meta[m].dirty&(1<<off) != 0 {
 				c.flushLine(at, m)
 				c.stats.DuplicateFlushes++
 				if c.tr != nil {
-					c.traceEv(at, "dup_flush", m.id, 0)
+					c.traceEv(at, "dup_flush", mid, 0)
 				}
 			}
 		}
@@ -401,14 +433,15 @@ func (c *Cache1P) fillArrived(at uint64, e *mshrEntry, _ *[isa.WordsPerLine]uint
 		c.tr.Span(e.born, at-e.born, obs.CatCache, c.p.Name, "fill",
 			obs.Fields{Addr: id.Base, Orient: int8(id.Orient)})
 	}
-	c.intersectingDo(id, func(m *line) {
-		addr, _ := m.id.Intersection(id)
-		moff, _ := m.id.WordOffset(addr)
-		if m.dirty&(1<<moff) != 0 {
+	c.intersectingDo(id, func(m int) {
+		mid := c.id(m)
+		addr, _ := mid.Intersection(id)
+		moff, _ := mid.WordOffset(addr)
+		if c.meta[m].dirty&(1<<moff) != 0 {
 			c.flushLine(at, m)
 			c.stats.DuplicateFlushes++
 			if c.tr != nil {
-				c.traceEv(at, "dup_flush", m.id, 0)
+				c.traceEv(at, "dup_flush", mid, 0)
 			}
 		}
 	})
@@ -442,7 +475,7 @@ func (c *Cache1P) dispatchTarget(at, deliverAt uint64, id isa.LineID, t *fillTar
 		c.q.ScheduleData(deliverAt, t.done8, data)
 	case tStore:
 		l := c.find(id)
-		if l == nil {
+		if l < 0 {
 			// The just-installed line was evicted within the same cycle by
 			// a conflicting waiter; re-install via a fresh fill.
 			c.requestFill(deliverAt, id, false, fillTarget{
@@ -453,7 +486,7 @@ func (c *Cache1P) dispatchTarget(at, deliverAt uint64, id isa.LineID, t *fillTar
 		c.applyStoreWord(deliverAt, l, t.addr, t.value)
 		c.q.ScheduleArg(deliverAt, t.done1, 0)
 	case tStoreFinal:
-		if l := c.find(id); l != nil {
+		if l := c.find(id); l >= 0 {
 			c.applyStoreWord(deliverAt, l, t.addr, t.value)
 		}
 		c.q.ScheduleArg(deliverAt, t.done1, 0)
@@ -573,12 +606,12 @@ func (c *Cache1P) CPUAccess(at uint64, op isa.Op, done func(at uint64, value uin
 
 func (c *Cache1P) scalarLoad(at uint64, op isa.Op, done func(uint64, uint64)) {
 	pref := isa.LineOf(op.Addr, op.Orient)
-	if l := c.find(pref); l != nil {
+	if l := c.find(pref); l >= 0 {
 		start, _ := c.chargePort(at, pref, 1)
 		c.stats.Hits++
 		c.noteDemandHit(l)
 		off, _ := pref.WordOffset(op.Addr)
-		c.q.ScheduleArg(start+c.hitLat, done, l.data[off])
+		c.q.ScheduleArg(start+c.hitLat, done, c.data[l][off])
 		return
 	}
 	if c.logical2D {
@@ -588,7 +621,7 @@ func (c *Cache1P) scalarLoad(at uint64, op isa.Op, done func(uint64, uint64)) {
 		// latency"); under Same-Set mapping both orientations share the
 		// set and are checked by the one simultaneous lookup, for free.
 		other := isa.LineOf(op.Addr, op.Orient.Other())
-		if m := c.find(other); m != nil {
+		if m := c.find(other); m >= 0 {
 			probes, extraLat := 2, uint64(0)
 			if c.p.Mapping == SameSet {
 				probes = 1
@@ -601,7 +634,7 @@ func (c *Cache1P) scalarLoad(at uint64, op isa.Op, done func(uint64, uint64)) {
 			c.stats.HitsWrongOrient++
 			c.noteDemandHit(m)
 			off, _ := other.WordOffset(op.Addr)
-			c.q.ScheduleArg(start+c.hitLat+extraLat, done, m.data[off])
+			c.q.ScheduleArg(start+c.hitLat+extraLat, done, c.data[m][off])
 			return
 		}
 	}
@@ -618,24 +651,26 @@ func (c *Cache1P) scalarLoad(at uint64, op isa.Op, done func(uint64, uint64)) {
 	c.requestFill(start+c.p.TagLat+extra, pref, false, fillTarget{kind: tWord, off: uint8(off), done1: done})
 }
 
-// applyStoreWord performs the word write into target line l, first evicting
-// any duplicate copy in the other orientation ("write to duplicate").
-func (c *Cache1P) applyStoreWord(at uint64, l *line, addr, value uint64) {
+// applyStoreWord performs the word write into the line in way l, first
+// evicting any duplicate copy in the other orientation ("write to
+// duplicate").
+func (c *Cache1P) applyStoreWord(at uint64, l int, addr, value uint64) {
+	id := c.id(l)
 	if c.logical2D {
-		dup := isa.LineOf(addr, l.id.Orient.Other())
-		if m := c.find(dup); m != nil {
+		dup := isa.LineOf(addr, id.Orient.Other())
+		if m := c.find(dup); m >= 0 {
 			c.evictDuplicate(at, m)
 		}
 	}
-	off, ok := l.id.WordOffset(addr)
+	off, ok := id.WordOffset(addr)
 	if !ok {
 		panic("core: store applied to non-containing line")
 	}
-	l.data[off] = value
-	l.dirty |= 1 << off
+	c.data[l][off] = value
+	c.meta[l].dirty |= 1 << off
 	c.touch(l)
 	if c.onWrite != nil {
-		c.onWrite(at, l.id, 1<<off)
+		c.onWrite(at, id, 1<<off)
 	}
 }
 
@@ -643,16 +678,16 @@ func (c *Cache1P) scalarStore(at uint64, op isa.Op, done func(uint64, uint64)) {
 	pref := isa.LineOf(op.Addr, op.Orient)
 	target := c.find(pref)
 	wrongOrient := false
-	if target == nil && c.logical2D {
+	if target < 0 && c.logical2D {
 		target = c.find(isa.LineOf(op.Addr, op.Orient.Other()))
-		wrongOrient = target != nil
+		wrongOrient = target >= 0
 	}
 	probes := 1
 	if c.logical2D && c.p.Mapping != SameSet {
 		probes = 2 // write checks both orientations (§IV-C Design 1)
 	}
 	start, extra := c.chargePort(at, pref, probes)
-	if target != nil {
+	if target >= 0 {
 		c.stats.Hits++
 		if wrongOrient {
 			c.stats.HitsWrongOrient++
@@ -672,11 +707,11 @@ func (c *Cache1P) scalarStore(at uint64, op isa.Op, done func(uint64, uint64)) {
 
 func (c *Cache1P) vectorLoad(at uint64, op isa.Op, done func(uint64, uint64)) {
 	id := isa.LineID{Base: op.Addr, Orient: op.Orient}
-	if l := c.find(id); l != nil {
+	if l := c.find(id); l >= 0 {
 		start, _ := c.chargePort(at, id, 1)
 		c.stats.Hits++
 		c.noteDemandHit(l)
-		c.q.ScheduleArg(start+c.hitLat, done, l.data[0])
+		c.q.ScheduleArg(start+c.hitLat, done, c.data[l][0])
 		return
 	}
 	probes := 1
@@ -709,13 +744,13 @@ func (c *Cache1P) vectorStore(at uint64, op isa.Op, done func(uint64, uint64)) {
 	}
 	start := c.chargePortOffPath(at, id, probes) // write checks are off the critical path (§VI-A)
 	// A full-line store supersedes every intersecting copy.
-	c.intersectingDo(id, func(m *line) { c.evictDuplicate(start, m) })
+	c.intersectingDo(id, func(m int) { c.evictDuplicate(start, m) })
 	data := vectorPayload(op.Value)
-	if l := c.find(id); l != nil {
+	if l := c.find(id); l >= 0 {
 		c.stats.Hits++
 		c.noteDemandHit(l)
-		l.data = data
-		l.dirty = 0xff
+		c.data[l] = data
+		c.meta[l].dirty = 0xff
 	} else {
 		// Write-allocate without fetch: the store covers the whole line.
 		c.stats.Misses++
@@ -738,13 +773,13 @@ func (c *Cache1P) Fill(at uint64, id isa.LineID, done func(uint64, *[isa.WordsPe
 	c.stats.Accesses++
 	c.stats.VectorAccesses++
 	c.stats.ByOrient[id.Orient]++
-	if l := c.find(id); l != nil {
+	if l := c.find(id); l >= 0 {
 		start, _ := c.chargePort(at, id, 1)
 		c.stats.Hits++
 		c.noteDemandHit(l)
 		// ScheduleData snapshots the line at schedule time, matching the
 		// by-value capture this path used before the encoding change.
-		c.q.ScheduleData(start+c.hitLat, done, &l.data)
+		c.q.ScheduleData(start+c.hitLat, done, &c.data[l])
 		return
 	}
 	probes := 1
@@ -772,8 +807,8 @@ func (c *Cache1P) Writeback(at uint64, id isa.LineID, mask uint8, data [isa.Word
 		probes = 1 + isa.WordsPerLine
 	}
 	start, _ := c.chargePort(at, id, probes)
-	c.intersectingDo(id, func(m *line) {
-		addr, _ := m.id.Intersection(id)
+	c.intersectingDo(id, func(m int) {
+		addr, _ := c.id(m).Intersection(id)
 		ioff, _ := id.WordOffset(addr)
 		if mask&(1<<ioff) != 0 {
 			c.evictDuplicate(start, m)
@@ -787,7 +822,7 @@ func (c *Cache1P) Writeback(at uint64, id isa.LineID, mask uint8, data [isa.Word
 func (c *Cache1P) prefetchObserve(at uint64, op isa.Op) {
 	for _, addr := range c.pf.observe(op) {
 		id := isa.LineOf(addr, isa.Row)
-		if c.find(id) != nil || c.mshr.lookup(id) != nil {
+		if c.find(id) >= 0 || c.mshr.lookup(id) != nil {
 			continue
 		}
 		c.stats.PrefetchIssued++
@@ -811,29 +846,29 @@ func (c *Cache1P) Peek(id isa.LineID) [isa.WordsPerLine]uint64 {
 // data, both from the same-identity line and from intersecting lines of the
 // other orientation.
 func (c *Cache1P) peekDirty(id isa.LineID, data *[isa.WordsPerLine]uint64) {
-	if l := c.find(id); l != nil {
+	if l := c.find(id); l >= 0 {
 		for i := uint(0); i < isa.WordsPerLine; i++ {
-			if l.dirty&(1<<i) != 0 {
-				data[i] = l.data[i]
+			if c.meta[l].dirty&(1<<i) != 0 {
+				data[i] = c.data[l][i]
 			}
 		}
 	}
-	c.intersectingDo(id, func(m *line) {
-		addr, _ := m.id.Intersection(id)
-		moff, _ := m.id.WordOffset(addr)
-		if m.dirty&(1<<moff) != 0 {
+	c.intersectingDo(id, func(m int) {
+		mid := c.id(m)
+		addr, _ := mid.Intersection(id)
+		moff, _ := mid.WordOffset(addr)
+		if c.meta[m].dirty&(1<<moff) != 0 {
 			ioff, _ := id.WordOffset(addr)
-			data[ioff] = m.data[moff]
+			data[ioff] = c.data[m][moff]
 		}
 	})
 }
 
 // invalidateLine flushes a line's dirty words below and drops it (the snoop
 // S/M→Invalid transition).
-func (c *Cache1P) invalidateLine(at uint64, l *line) {
+func (c *Cache1P) invalidateLine(at uint64, l int) {
 	c.flushLine(at, l)
-	l.valid = false
-	c.orientCount[l.id.Orient]--
+	c.invalidate(l)
 }
 
 // snoopFlush implements snooper: a remote core is reading id, so write back
@@ -842,13 +877,14 @@ func (c *Cache1P) invalidateLine(at uint64, l *line) {
 // clean (M→S downgrade).
 func (c *Cache1P) snoopFlush(at uint64, id isa.LineID) int {
 	n := 0
-	if l := c.find(id); l != nil && l.dirty != 0 {
+	if l := c.find(id); l >= 0 && c.meta[l].dirty != 0 {
 		c.flushLine(at, l)
 		n++
 	}
-	c.intersectingDo(id, func(m *line) {
-		if addr, ok := m.id.Intersection(id); ok {
-			if off, ok := m.id.WordOffset(addr); ok && m.dirty&(1<<off) != 0 {
+	c.intersectingDo(id, func(m int) {
+		mid := c.id(m)
+		if addr, ok := mid.Intersection(id); ok {
+			if off, ok := mid.WordOffset(addr); ok && c.meta[m].dirty&(1<<off) != 0 {
 				c.flushLine(at, m)
 				n++
 			}
@@ -864,7 +900,7 @@ func (c *Cache1P) snoopFlush(at uint64, id isa.LineID) int {
 // Invalidation is line-granular (false sharing).
 func (c *Cache1P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 	n := 0
-	if l := c.find(id); l != nil {
+	if l := c.find(id); l >= 0 {
 		c.invalidateLine(at, l)
 		n++
 	}
@@ -874,7 +910,7 @@ func (c *Cache1P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 				continue
 			}
 			other := isa.LineOf(id.WordAddr(i), id.Orient.Other())
-			if m := c.find(other); m != nil {
+			if m := c.find(other); m >= 0 {
 				c.invalidateLine(at, m)
 				n++
 			}
@@ -885,16 +921,14 @@ func (c *Cache1P) snoopInvalidate(at uint64, id isa.LineID, mask uint8) int {
 
 // Occupancy implements Level.
 func (c *Cache1P) Occupancy() (rowLines, colLines int) {
-	for _, set := range c.sets {
-		for i := range set {
-			if !set[i].valid {
-				continue
-			}
-			if set[i].id.Orient == isa.Row {
-				rowLines++
-			} else {
-				colLines++
-			}
+	for _, k := range c.keys {
+		if k == 0 {
+			continue
+		}
+		if isa.Orient(k&1) == isa.Row {
+			rowLines++
+		} else {
+			colLines++
 		}
 	}
 	return rowLines, colLines
@@ -902,11 +936,9 @@ func (c *Cache1P) Occupancy() (rowLines, colLines int) {
 
 // Drain implements Level: flush all dirty lines below.
 func (c *Cache1P) Drain(at uint64) {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].valid && set[i].dirty != 0 {
-				c.flushLine(at, &set[i])
-			}
+	for w, k := range c.keys {
+		if k != 0 && c.meta[w].dirty != 0 {
+			c.flushLine(at, w)
 		}
 	}
 }

@@ -398,10 +398,10 @@ func TestLRUReplacement(t *testing.T) {
 	access(t, q, c, vectorLoad(bLine))
 	access(t, q, c, vectorLoad(a)) // touch A
 	access(t, q, c, vectorLoad(cLine))
-	if c.find(a) == nil {
+	if c.find(a) < 0 {
 		t.Fatal("MRU line evicted")
 	}
-	if c.find(bLine) != nil {
+	if c.find(bLine) >= 0 {
 		t.Fatal("LRU line survived")
 	}
 }

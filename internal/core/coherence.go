@@ -57,6 +57,8 @@ type snoopHub struct {
 	// Config.BreakSnoopCoherence).
 	breakCoherence bool
 
+	peekBuf [isa.WordsPerLine]uint64 // peek's scratch overlay
+
 	// SnoopFlushes counts lines written back because a remote core read
 	// them; SnoopInvalidates counts copies invalidated because a remote
 	// core wrote them.
@@ -99,12 +101,14 @@ func (h *snoopHub) storeSnoop(at uint64, core int, line isa.LineID, mask uint8) 
 // coherence intact a dirty word lives in at most one cache (stores
 // invalidate remote copies), so overlay order cannot matter; with
 // breakCoherence the fixed core order keeps even broken runs deterministic.
+// The overlay is built in h.peekBuf: a local whose address went to the
+// snooper interface would escape, costing one allocation per fill.
 func (h *snoopHub) peek(line isa.LineID) [isa.WordsPerLine]uint64 {
-	data := h.below.Peek(line)
+	h.peekBuf = h.below.Peek(line)
 	for _, l1 := range h.l1s {
-		l1.peekDirty(line, &data)
+		l1.peekDirty(line, &h.peekBuf)
 	}
-	return data
+	return h.peekBuf
 }
 
 // hubPort is the Backend one core's L1 sees: fills and peeks route through
@@ -141,19 +145,11 @@ func (p *hubPort) storeSnoop(at uint64, line isa.LineID, mask uint8) {
 // two in-flight ops anywhere in the machine may overlap in words with a
 // store on either side. Conflicting ops therefore serialize in issue order,
 // which is what makes a shared reference model replayed in issue order an
-// exact value oracle for every interleaving (internal/check).
+// exact value oracle for every interleaving (internal/check). Every core
+// checks and records its ops in the group's one occupancy index.
 type coreGroup struct {
 	cpus []*CPU
-}
-
-// conflicts checks op against every core's in-flight window.
-func (g *coreGroup) conflicts(op isa.Op) bool {
-	for _, c := range g.cpus {
-		if c.windowConflicts(op) {
-			return true
-		}
-	}
-	return false
+	occ  occIndex
 }
 
 // pumpAll retries every core's issue loop in ascending core-ID order — the

@@ -39,28 +39,24 @@ type CPU struct {
 	// the trace's readable callback reschedules it, instead of marking the
 	// trace exhausted. Wakes go through the event queue, so parking and
 	// resuming stay deterministic.
-	blocker  isa.Blocker
-	inflight []inflightOp
-	// inflightStores counts in-flight stores so conflicts() can skip its
-	// window scan for loads when no store is outstanding — the common case
-	// on load-heavy traces.
-	inflightStores int
-	heldOp         isa.Op // next op, waiting for an overlap conflict to clear
-	heldSet        bool
-	cursor         uint64 // next program-order issue cycle
-	lastDone       uint64
-	exhausted      bool
-	pumping        bool
+	blocker isa.Blocker
+	// inflight is the out-of-order window; each slot records its own index
+	// (cpuSlot.wi), so retiring an op is an O(1) swap-remove.
+	inflight []*cpuSlot
+	// occ is the machine's occupancy index of in-flight words: the CPU's own
+	// on a single-core machine, the core group's shared one otherwise.
+	occ       *occIndex
+	heldOp    isa.Op   // next op, waiting for an overlap conflict to clear
+	heldWords occWords // wordsOf(heldOp), kept for the retries
+	heldSet   bool
+	cursor    uint64 // next program-order issue cycle
+	lastDone  uint64
+	exhausted bool
+	pumping   bool
 
 	// freeSlots pools issue slots; each slot's issue/done callbacks are bound
 	// once at creation, so steady-state issue→complete allocates nothing.
 	freeSlots *cpuSlot
-
-	// tokenCounter issues in-flight op tokens. Per-CPU (not package-level)
-	// state so concurrent machines — parallel sweep workers — never share a
-	// counter: sharing would be a data race and would make token values
-	// depend on goroutine interleaving.
-	tokenCounter uint64
 
 	// OnLoad, if set, observes every completed load (op, loaded value).
 	// Used by the functional-verification tests.
@@ -99,25 +95,21 @@ func (c *CPU) instrument(reg *obs.Registry, tr *obs.Tracer) {
 	reg.Counter(p+"order_stalls", &c.OrderStalls)
 }
 
-type inflightOp struct {
-	token  uint64
-	line   isa.LineID
-	addr   uint64 // scalar word address (vector ops use the whole line)
-	store  bool
-	vector bool
-}
-
 // cpuSlot carries one issued op from its issue event to its completion
-// callback. Slots are pooled (one live per in-flight op, so at most `window`)
-// and their two closures are created once per slot, not once per op.
+// callback, and is the op's entry in the window and in the occupancy index.
+// Slots are pooled (one live per in-flight op, so at most `window`) and their
+// two closures are created once per slot, not once per op.
 type cpuSlot struct {
 	c       *CPU
 	op      isa.Op
-	token   uint64
 	issueAt uint64
-	next    *cpuSlot
+	next    *cpuSlot // free-list link
 	issueFn func()
 	doneFn  func(doneAt, value uint64)
+
+	wi           int      // index in c.inflight
+	words        occWords // the op's tile and words in the occupancy index
+	tprev, tnext *cpuSlot // the tile's other in-flight ops (occupancy index)
 }
 
 func (c *CPU) getSlot() *cpuSlot {
@@ -136,10 +128,7 @@ func (c *CPU) getSlot() *cpuSlot {
 		if s.op.Kind == isa.Load && cc.OnLoad != nil {
 			cc.OnLoad(s.op, value)
 		}
-		tok := s.token
-		s.next = cc.freeSlots
-		cc.freeSlots = s
-		cc.retire(tok)
+		cc.retire(s)
 		if cc.group != nil {
 			// A retiring op may unblock a held op on ANY core; retry all of
 			// them in ascending core-ID order — the deterministic cross-core
@@ -154,7 +143,7 @@ func (c *CPU) getSlot() *cpuSlot {
 
 // NewCPU builds a core above l1 with the given in-flight window.
 func NewCPU(q *sim.EventQueue, l1 Level, window int) *CPU {
-	return &CPU{q: q, l1: l1, window: window, name: "cpu"}
+	return &CPU{q: q, l1: l1, window: window, name: "cpu", occ: &occIndex{}}
 }
 
 // Start begins consuming the trace; finished fires (once) when every op has
@@ -184,41 +173,54 @@ func (c *CPU) HeldOp() isa.Op { return c.heldOp }
 // an in-flight op with a store on either side — on this core, or on any
 // core of the group in a multi-core machine (the §IV-B ordering requirement
 // is a property of the memory system, not of one core's window).
-func (c *CPU) conflicts(op isa.Op) bool {
-	if c.group != nil {
-		return c.group.conflicts(op)
+//
+// The occupancy index answers in one tile lookup. Its verdict is exact
+// unless an irregular op (an unaligned scalar or a non-canonical vector,
+// which only a corrupt or fuzzed trace carries) is involved; then the
+// windows are scanned instead (DESIGN §11).
+func (c *CPU) conflicts(op isa.Op, w occWords) bool {
+	if w.mask != 0 && c.occ.irregular == 0 {
+		return c.occ.conflicts(w)
 	}
-	return c.windowConflicts(op)
+	if c.group == nil {
+		return c.windowConflicts(op)
+	}
+	for _, p := range c.group.cpus {
+		if p.windowConflicts(op) {
+			return true
+		}
+	}
+	return false
 }
 
-// windowConflicts checks op against this core's own in-flight window.
+// windowConflicts checks op against this core's own in-flight window by
+// exact line and address comparison — the fallback for irregular ops, and
+// the oracle the occupancy index is tested against.
 func (c *CPU) windowConflicts(op isa.Op) bool {
 	isStore := op.Kind == isa.Store
-	if !isStore && c.inflightStores == 0 {
-		return false // a load can only conflict with an in-flight store
-	}
 	id := isa.LineFor(op)
-	for i := range c.inflight {
-		e := &c.inflight[i]
-		if !e.store && !isStore {
+	for _, e := range c.inflight {
+		eStore := e.op.Kind == isa.Store
+		if !eStore && !isStore {
 			continue
 		}
-		if !e.line.Overlaps(id) {
+		eLine := isa.LineFor(e.op)
+		if !eLine.Overlaps(id) {
 			continue
 		}
 		switch {
-		case e.vector && op.Vector:
+		case e.op.Vector && op.Vector:
 			return true // overlapping lines always share a word
-		case e.vector && !op.Vector:
-			if e.line.Contains(op.Addr) {
+		case e.op.Vector && !op.Vector:
+			if eLine.Contains(op.Addr) {
 				return true
 			}
-		case !e.vector && op.Vector:
-			if id.Contains(e.addr) {
+		case !e.op.Vector && op.Vector:
+			if id.Contains(e.op.Addr) {
 				return true
 			}
 		default:
-			if e.addr == op.Addr {
+			if e.op.Addr == op.Addr {
 				return true
 			}
 		}
@@ -235,8 +237,9 @@ func (c *CPU) pump() {
 	defer func() { c.pumping = false }()
 	for len(c.inflight) < c.window && !c.exhausted {
 		var op isa.Op
+		var w occWords
 		if c.heldSet {
-			op = c.heldOp
+			op, w = c.heldOp, c.heldWords
 		} else {
 			next, ok := c.trace.Next()
 			if !ok {
@@ -247,15 +250,16 @@ func (c *CPU) pump() {
 				break
 			}
 			op = next
+			w = wordsOf(op)
 		}
-		if c.conflicts(op) {
+		if c.conflicts(op, w) {
 			if !c.heldSet {
 				c.OrderStalls++
 				if c.tr.Enabled(obs.CatCPU) {
 					c.tr.Instant(c.q.Now(), obs.CatCPU, c.name, "order_stall",
 						obs.Fields{Addr: op.Addr, Orient: int8(op.Orient)})
 				}
-				c.heldOp = op
+				c.heldOp, c.heldWords = op, w
 				c.heldSet = true
 			}
 			break // retried when an in-flight op completes
@@ -283,40 +287,35 @@ func (c *CPU) issue(op isa.Op) {
 	if c.cursor < now {
 		c.cursor = now
 	}
-	issueAt := c.cursor
 
-	c.tokenCounter++
-	tok := c.tokenCounter
-	isStore := op.Kind == isa.Store
-	if isStore {
-		c.inflightStores++
-	}
-	c.inflight = append(c.inflight, inflightOp{
-		token: tok, line: isa.LineFor(op), addr: op.Addr,
-		store: isStore, vector: op.Vector,
-	})
-
-	s := c.getSlot()
-	s.op = op
-	s.token = tok
-	s.issueAt = issueAt
-	c.q.Schedule(issueAt, s.issueFn)
+	s := c.enter(op)
+	s.issueAt = c.cursor
+	c.q.Schedule(s.issueAt, s.issueFn)
 }
 
-func (c *CPU) retire(token uint64) {
-	// Swap-remove: conflicts() is an order-independent predicate over the
-	// window, so in-flight order need not be preserved.
-	for i := range c.inflight {
-		if c.inflight[i].token == token {
-			if c.inflight[i].store {
-				c.inflightStores--
-			}
-			last := len(c.inflight) - 1
-			c.inflight[i] = c.inflight[last]
-			c.inflight = c.inflight[:last]
-			return
-		}
-	}
+// enter puts op into the window and the occupancy index.
+func (c *CPU) enter(op isa.Op) *cpuSlot {
+	s := c.getSlot()
+	s.op = op
+	s.wi = len(c.inflight)
+	c.inflight = append(c.inflight, s)
+	c.occ.add(s)
+	return s
+}
+
+// retire takes a completed op out of the window (swap-remove: conflicts()
+// is an order-independent predicate, so in-flight order need not be kept)
+// and the occupancy index, and returns its slot to the pool.
+func (c *CPU) retire(s *cpuSlot) {
+	last := len(c.inflight) - 1
+	moved := c.inflight[last]
+	c.inflight[s.wi] = moved
+	moved.wi = s.wi
+	c.inflight[last] = nil
+	c.inflight = c.inflight[:last]
+	c.occ.remove(s)
+	s.next = c.freeSlots
+	c.freeSlots = s
 }
 
 func (c *CPU) maybeFinish() {
@@ -328,5 +327,217 @@ func (c *CPU) maybeFinish() {
 			end = c.cursor
 		}
 		fin(end)
+	}
+}
+
+// occWords is the set of words one op touches, as a tile and a 64-bit mask
+// of the tile's words (bit rowInTile*8+colInTile).
+type occWords struct {
+	tile  uint64 // tile base
+	mask  uint64 // 0 for an irregular op, which is kept out of the tiles
+	store bool
+}
+
+// Word masks of tile line 0 in each orientation; line i is the mask shifted
+// by 8i (row) or i (column).
+const (
+	occRow0 = uint64(0xff)
+	occCol0 = uint64(0x0101010101010101)
+)
+
+// wordsOf returns the words op touches. The mask is 0 for an irregular
+// op, whose overlaps the masks cannot decide exactly: an unaligned scalar
+// (the window scan compares scalar addresses exactly, not by word) or a
+// vector on a non-canonical line.
+func wordsOf(op isa.Op) occWords {
+	w := occWords{tile: isa.TileBase(op.Addr), store: op.Kind == isa.Store}
+	switch {
+	case !op.Vector:
+		if op.Addr%isa.WordSize == 0 {
+			w.mask = 1 << isa.WordIndex(op.Addr)
+		}
+	case op.Orient == isa.Row:
+		if op.Addr%isa.LineSize == 0 {
+			w.mask = occRow0 << (8 * isa.RowInTile(op.Addr))
+		}
+	default:
+		if op.Addr%isa.WordSize == 0 && isa.RowInTile(op.Addr) == 0 {
+			w.mask = occCol0 << isa.ColInTile(op.Addr)
+		}
+	}
+	return w
+}
+
+// occIndex is the occupancy index behind the §IV-B overlap check: for every
+// tile with an op in flight anywhere in the machine, the words touched by
+// in-flight stores and by any in-flight op. An op conflicts iff its words
+// meet the store words, or it is a store and they meet the touched words —
+// one table lookup instead of a scan of every core's window.
+//
+// The table is open-addressed (linear probing, backward-shift deletion) and
+// grows on demand; it never holds more tiles than there are ops in flight.
+// Each tile keeps an intrusive list of its in-flight ops. A retire unlinks
+// its op in O(1) and leaves the tile's masks stale: still a superset of the
+// truth, so a miss is exact, and a hit on a stale tile recomputes the masks
+// from the list before it is believed.
+type occIndex struct {
+	tab  []occTile // len is 0 or a power of two
+	live int       // occupied entries
+	// irregular counts in-flight ops whose words are not in the table;
+	// while any is in flight, conflicts fall back to the window scan.
+	irregular int
+}
+
+type occTile struct {
+	key    uint64 // tile base | 1; 0 marks an empty entry
+	stores uint64 // words touched by in-flight stores
+	any    uint64 // words touched by any in-flight op
+	stale  bool   // an op retired since the masks were computed
+	ops    *cpuSlot
+}
+
+// home is key's preferred table entry (Fibonacci hashing of the tile number).
+func (x *occIndex) home(key uint64) int {
+	return int(((key >> 9) * 0x9E3779B97F4A7C15) >> 32 & uint64(len(x.tab)-1))
+}
+
+// lookup returns the entry index holding key, or -1.
+func (x *occIndex) lookup(key uint64) int {
+	if len(x.tab) == 0 {
+		return -1
+	}
+	m := len(x.tab) - 1
+	for i := x.home(key); ; i = (i + 1) & m {
+		switch x.tab[i].key {
+		case key:
+			return i
+		case 0:
+			return -1
+		}
+	}
+}
+
+// hit reports whether the tile's masks hold an op touching w back.
+func (t *occTile) hit(w occWords) bool {
+	return w.mask&t.stores != 0 || w.store && w.mask&t.any != 0
+}
+
+// conflicts reports whether an op touching w may not issue; see occIndex.
+func (x *occIndex) conflicts(w occWords) bool {
+	i := x.lookup(w.tile | 1)
+	if i < 0 {
+		return false
+	}
+	t := &x.tab[i]
+	if !t.hit(w) {
+		return false
+	}
+	if t.stale {
+		t.stores, t.any = 0, 0
+		for p := t.ops; p != nil; p = p.tnext {
+			t.any |= p.words.mask
+			if p.words.store {
+				t.stores |= p.words.mask
+			}
+		}
+		t.stale = false
+		return t.hit(w)
+	}
+	return true
+}
+
+// add records the issued op s.
+func (x *occIndex) add(s *cpuSlot) {
+	w := wordsOf(s.op)
+	s.words = w
+	if w.mask == 0 {
+		x.irregular++
+		return
+	}
+	key := w.tile | 1
+	i := x.lookup(key)
+	if i < 0 {
+		if 2*(x.live+1) > len(x.tab) {
+			x.grow()
+		}
+		i = x.empty(key)
+		x.tab[i].key = key
+		x.live++
+	}
+	t := &x.tab[i]
+	s.tprev, s.tnext = nil, t.ops
+	if t.ops != nil {
+		t.ops.tprev = s
+	}
+	t.ops = s
+	t.any |= w.mask
+	if w.store {
+		t.stores |= w.mask
+	}
+}
+
+// remove forgets the retiring op s.
+func (x *occIndex) remove(s *cpuSlot) {
+	if s.words.mask == 0 {
+		x.irregular--
+		return
+	}
+	i := x.lookup(s.words.tile | 1)
+	t := &x.tab[i]
+	if s.tprev != nil {
+		s.tprev.tnext = s.tnext
+	} else {
+		t.ops = s.tnext
+	}
+	if s.tnext != nil {
+		s.tnext.tprev = s.tprev
+	}
+	s.tprev, s.tnext = nil, nil
+	if t.ops != nil {
+		t.stale = true
+		return
+	}
+	x.live--
+	// Backward-shift deletion: pull later entries of the probe run into the
+	// hole when the hole lies on their probe path.
+	m := len(x.tab) - 1
+	for j := i; ; {
+		x.tab[i] = occTile{}
+		for {
+			j = (j + 1) & m
+			if x.tab[j].key == 0 {
+				return
+			}
+			if (j-x.home(x.tab[j].key))&m >= (j-i)&m {
+				break
+			}
+		}
+		x.tab[i] = x.tab[j]
+		i = j
+	}
+}
+
+// empty returns the first empty entry on key's probe path.
+func (x *occIndex) empty(key uint64) int {
+	m := len(x.tab) - 1
+	i := x.home(key)
+	for x.tab[i].key != 0 {
+		i = (i + 1) & m
+	}
+	return i
+}
+
+// grow doubles the table (16 entries at first) and rehashes it.
+func (x *occIndex) grow() {
+	old := x.tab
+	n := 2 * len(old)
+	if n == 0 {
+		n = 16
+	}
+	x.tab = make([]occTile, n)
+	for _, t := range old {
+		if t.key != 0 {
+			x.tab[x.empty(t.key)] = t
+		}
 	}
 }

@@ -125,6 +125,7 @@ func Build(cfg Config) (*Machine, error) {
 			cpu.coreID = i
 			cpu.name = fmt.Sprintf("cpu%d", i)
 			cpu.group = group
+			cpu.occ = &group.occ
 			m.CPUs = append(m.CPUs, cpu)
 		}
 		group.cpus = m.CPUs

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mdacache/internal/isa"
 	"mdacache/internal/sim"
 )
 
@@ -15,56 +16,58 @@ func TestVictimPrefersInvalidWays(t *testing.T) {
 		repl := repl
 		t.Run(repl.String(), func(t *testing.T) {
 			_, c := cacheWithRepl(t, repl)
-			mk := func(valid ...bool) []line {
-				set := make([]line, len(valid))
+			mk := func(valid ...bool) ([]uint64, []lineMeta) {
+				keys, meta := validSet(len(valid))
 				for i, v := range valid {
-					set[i].valid = v
-					set[i].lastUse = uint64(100 + i)
-					set[i].rrpv = srripMax // every valid way is evictable
+					if !v {
+						keys[i] = 0
+					}
+					meta[i].lastUse = uint64(100 + i)
+					meta[i].rrpv = srripMax // every valid way is evictable
 				}
-				return set
+				return keys, meta
 			}
 			// All-invalid set (a fresh cache): first way.
-			set := mk(false, false, false, false)
-			if got := c.victim(set); got != &set[0] {
-				t.Errorf("all-invalid: picked way %d, want 0", wayIndex(set, got))
+			keys, meta := mk(false, false, false, false)
+			if got := c.victim(keys, meta); got != 0 {
+				t.Errorf("all-invalid: picked way %d, want 0", got)
 			}
 			// Mixed: the single invalid way wins even though way 0 is the
 			// policy's natural pick.
-			set = mk(true, true, false, true)
-			set[0].lastUse = 1 // LRU's pick if only valid ways counted
-			if got := c.victim(set); got != &set[2] {
-				t.Errorf("mixed: picked way %d, want invalid way 2", wayIndex(set, got))
+			keys, meta = mk(true, true, false, true)
+			meta[0].lastUse = 1 // LRU's pick if only valid ways counted
+			if got := c.victim(keys, meta); got != 2 {
+				t.Errorf("mixed: picked way %d, want invalid way 2", got)
 			}
 		})
 	}
 }
 
-func wayIndex(set []line, l *line) int {
-	for i := range set {
-		if &set[i] == l {
-			return i
-		}
+// validSet returns the keys and metadata of an n-way set whose ways all
+// hold distinct valid lines.
+func validSet(n int) ([]uint64, []lineMeta) {
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i)*isa.LineSize | lineValid
 	}
-	return -1
+	return keys, make([]lineMeta, n)
 }
 
 // TestVictimLRUTieBreak pins the deterministic tie-break: equal lastUse
 // resolves to the lowest way (strict less-than scan from way 0).
 func TestVictimLRUTieBreak(t *testing.T) {
 	_, c := cacheWithRepl(t, ReplLRU)
-	set := make([]line, 4)
-	for i := range set {
-		set[i].valid = true
-		set[i].lastUse = 7 // all equal
+	keys, meta := validSet(4)
+	for i := range meta {
+		meta[i].lastUse = 7 // all equal
 	}
-	if got := c.victim(set); got != &set[0] {
-		t.Errorf("tie: picked way %d, want 0", wayIndex(set, got))
+	if got := c.victim(keys, meta); got != 0 {
+		t.Errorf("tie: picked way %d, want 0", got)
 	}
 	// A strictly older way beats the tie group wherever it sits.
-	set[2].lastUse = 3
-	if got := c.victim(set); got != &set[2] {
-		t.Errorf("older way: picked way %d, want 2", wayIndex(set, got))
+	meta[2].lastUse = 3
+	if got := c.victim(keys, meta); got != 2 {
+		t.Errorf("older way: picked way %d, want 2", got)
 	}
 }
 
@@ -73,19 +76,16 @@ func TestVictimLRUTieBreak(t *testing.T) {
 // way 0 — so the first way to reach srripMax wins.
 func TestVictimSRRIPAges(t *testing.T) {
 	_, c := cacheWithRepl(t, ReplSRRIP)
-	set := make([]line, 4)
-	for i := range set {
-		set[i].valid = true
-	}
-	set[0].rrpv, set[1].rrpv, set[2].rrpv, set[3].rrpv = 0, 2, 1, 2
-	v := c.victim(set)
+	keys, meta := validSet(4)
+	meta[0].rrpv, meta[1].rrpv, meta[2].rrpv, meta[3].rrpv = 0, 2, 1, 2
+	v := c.victim(keys, meta)
 	// Ways 1 and 3 reach srripMax after one aging pass; way 1 is scanned
 	// first.
-	if v != &set[1] {
-		t.Fatalf("picked way %d, want 1", wayIndex(set, v))
+	if v != 1 {
+		t.Fatalf("picked way %d, want 1", v)
 	}
-	if set[0].rrpv != 1 || set[2].rrpv != 2 {
-		t.Errorf("aging: rrpv = [%d _ %d _], want [1 _ 2 _]", set[0].rrpv, set[2].rrpv)
+	if meta[0].rrpv != 1 || meta[2].rrpv != 2 {
+		t.Errorf("aging: rrpv = [%d _ %d _], want [1 _ 2 _]", meta[0].rrpv, meta[2].rrpv)
 	}
 }
 
@@ -131,7 +131,7 @@ func TestRandomReplacementDeterministic(t *testing.T) {
 		}
 		out := ""
 		for i := uint64(0); i < 12; i++ {
-			if c.find(conflictLine(c, i)) != nil {
+			if c.find(conflictLine(c, i)) >= 0 {
 				out += fmt.Sprintf("%d,", i)
 			}
 		}
@@ -149,11 +149,11 @@ func TestSRRIPInsertAndPromoteValues(t *testing.T) {
 	id := conflictLine(c, 0)
 	access(t, q, c, vectorLoad(id))
 	l := c.find(id)
-	if l == nil || l.rrpv != srripInsertRRPV {
-		t.Fatalf("after fill: rrpv = %v, want %d", l, srripInsertRRPV)
+	if l < 0 || c.meta[l].rrpv != srripInsertRRPV {
+		t.Fatalf("after fill: way %d, want a resident line with rrpv %d", l, srripInsertRRPV)
 	}
 	access(t, q, c, vectorLoad(id))
-	if l.rrpv != 0 {
-		t.Fatalf("after hit: rrpv = %d, want 0", l.rrpv)
+	if c.meta[l].rrpv != 0 {
+		t.Fatalf("after hit: rrpv = %d, want 0", c.meta[l].rrpv)
 	}
 }
