@@ -72,9 +72,14 @@ type Cache1P struct {
 	onWrite func(at uint64, id isa.LineID, mask uint8)
 
 	// orientCount tracks valid resident lines per orientation so the
-	// 8-probe intersecting-line walks exit immediately while the other
-	// orientation has no residents at all (the common phase-local case).
+	// intersecting-line walks exit immediately while the other orientation
+	// has no residents at all (the common phase-local case).
 	orientCount [2]int
+
+	// res indexes resident lines by tile for the crossing-line walks of a
+	// logically-2-D cache. It is built by the first walk that gets past the
+	// orientCount exit and maintained from then on (tileRes).
+	res tileRes
 
 	useCounter uint64
 	stats      LevelStats
@@ -228,7 +233,9 @@ func (c *Cache1P) noteDemandHit(w int) {
 }
 
 // intersectingDo invokes fn for the way of every valid line of the opposite
-// orientation in id's tile (the up-to-8 lines that cross id).
+// orientation in id's tile (the up-to-8 lines that cross id), in ascending
+// line index. Only lines the residency index reports resident are probed;
+// the probe still guards against a callback having dropped a later line.
 func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m int)) {
 	if !c.logical2D {
 		return
@@ -237,16 +244,143 @@ func (c *Cache1P) intersectingDo(id isa.LineID, fn func(m int)) {
 	if c.orientCount[other] == 0 {
 		return // no resident lines of the other orientation anywhere
 	}
+	if c.res.tab == nil {
+		c.buildRes()
+	}
 	tile := id.Tile()
-	for i := uint(0); i < isa.LinesPerTile; i++ {
-		var mid isa.LineID
-		if other == isa.Row {
-			mid = isa.LineID{Base: tile + uint64(i)*isa.LineSize, Orient: isa.Row}
-		} else {
-			mid = isa.LineID{Base: tile + uint64(i)*isa.WordSize, Orient: isa.Col}
-		}
+	step := uint64(isa.WordSize) // column i starts at word i of the tile
+	if other == isa.Row {
+		step = isa.LineSize
+	}
+	for lines := c.res.mask(tile) >> (8 * other) & 0xff; lines != 0; lines &= lines - 1 {
+		mid := isa.LineID{Base: tile + uint64(bits.TrailingZeros16(lines))*step, Orient: other}
 		if m := c.find(mid); m >= 0 {
 			fn(m)
+		}
+	}
+}
+
+// buildRes fills the residency index from the resident lines.
+func (c *Cache1P) buildRes() {
+	c.res.grow()
+	for _, k := range c.keys {
+		if k != 0 {
+			c.res.add(keyID(k))
+		}
+	}
+}
+
+// tileRes is the residency index of a logically-2-D Cache1P: for every tile
+// with a resident line, a 16-bit mask of which of its lines are resident,
+// bits 0-7 the row lines and bits 8-15 the column lines, by line index. A
+// crossing-line walk reads one entry instead of probing 8 sets, most of
+// which miss.
+//
+// The table has occIndex's layout: open-addressed, Fibonacci home, linear
+// probing, backward-shift deletion, doubling from 64 entries to stay at
+// most half full. An entry exists exactly while its mask is non-zero, so
+// the table never holds more tiles than the cache holds lines.
+type tileRes struct {
+	tab  []resTile // nil until built, then a power of two
+	live int       // occupied entries
+}
+
+type resTile struct {
+	key  uint64 // tile base | 1; 0 marks an empty entry
+	mask uint16
+}
+
+// resBit is id's bit in its tile's mask.
+func resBit(id isa.LineID) uint16 { return 1 << (id.Index() + 8*uint(id.Orient)) }
+
+// home is key's preferred table entry (Fibonacci hashing of the tile number).
+func (x *tileRes) home(key uint64) int {
+	return int(((key >> 9) * 0x9E3779B97F4A7C15) >> 32 & uint64(len(x.tab)-1))
+}
+
+// lookup returns the entry index holding key, or -1.
+func (x *tileRes) lookup(key uint64) int {
+	m := len(x.tab) - 1
+	for i := x.home(key); ; i = (i + 1) & m {
+		switch x.tab[i].key {
+		case key:
+			return i
+		case 0:
+			return -1
+		}
+	}
+}
+
+// mask returns the resident-line mask of the tile at base tile.
+func (x *tileRes) mask(tile uint64) uint16 {
+	if i := x.lookup(tile | 1); i >= 0 {
+		return x.tab[i].mask
+	}
+	return 0
+}
+
+// add records that line id became resident.
+func (x *tileRes) add(id isa.LineID) {
+	key := id.Tile() | 1
+	i := x.lookup(key)
+	if i < 0 {
+		if 2*(x.live+1) > len(x.tab) {
+			x.grow()
+		}
+		i = x.empty(key)
+		x.tab[i].key = key
+		x.live++
+	}
+	x.tab[i].mask |= resBit(id)
+}
+
+// remove records that line id is no longer resident.
+func (x *tileRes) remove(id isa.LineID) {
+	i := x.lookup(id.Tile() | 1)
+	if x.tab[i].mask &^= resBit(id); x.tab[i].mask != 0 {
+		return
+	}
+	x.live--
+	// Backward-shift deletion: pull later entries of the probe run into the
+	// hole when the hole lies on their probe path.
+	m := len(x.tab) - 1
+	for j := i; ; {
+		x.tab[i] = resTile{}
+		for {
+			j = (j + 1) & m
+			if x.tab[j].key == 0 {
+				return
+			}
+			if (j-x.home(x.tab[j].key))&m >= (j-i)&m {
+				break
+			}
+		}
+		x.tab[i] = x.tab[j]
+		i = j
+	}
+}
+
+// empty returns the first empty entry on key's probe path.
+func (x *tileRes) empty(key uint64) int {
+	m := len(x.tab) - 1
+	i := x.home(key)
+	for x.tab[i].key != 0 {
+		i = (i + 1) & m
+	}
+	return i
+}
+
+// grow doubles the table (64 entries at first) and rehashes it.
+func (x *tileRes) grow() {
+	old := x.tab
+	n := 2 * len(old)
+	if n == 0 {
+		n = 64
+	}
+	x.tab = make([]resTile, n)
+	for _, t := range old {
+		if t.key != 0 {
+			x.tab[x.empty(t.key)] = t
 		}
 	}
 }
@@ -276,6 +410,9 @@ func (c *Cache1P) flushLine(at uint64, w int) {
 // invalidate drops valid way w, which must already be clean.
 func (c *Cache1P) invalidate(w int) {
 	c.orientCount[c.keys[w]&1]--
+	if c.res.tab != nil {
+		c.res.remove(c.id(w))
+	}
 	c.keys[w] = 0
 }
 
@@ -353,11 +490,17 @@ func (c *Cache1P) install(at uint64, id isa.LineID, data *[isa.WordsPerLine]uint
 	if c.keys[v] != 0 {
 		c.stats.Evictions++
 		c.orientCount[c.keys[v]&1]--
+		if c.res.tab != nil {
+			c.res.remove(c.id(v))
+		}
 		if c.meta[v].dirty != 0 {
 			c.writebackLine(at, v)
 		}
 	}
 	c.keys[v] = lineKey(id) | lineValid
+	if c.res.tab != nil {
+		c.res.add(id)
+	}
 	c.meta[v] = lineMeta{dirty: dirtyMask, prefetched: prefetched}
 	c.data[v] = *data
 	c.orientCount[id.Orient]++

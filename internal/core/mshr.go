@@ -41,13 +41,17 @@ const (
 // intersecting modified lines, and fill completions patch in-cache modified
 // words, so overlapping write→read order is preserved end to end.
 //
-// Layout: instead of a map, in-flight entries live in two parallel slices —
-// packed 8-byte keys scanned linearly (in-flight counts are at most the MSHR
-// capacity, usually far less, so the scan beats map hashing) and the entry
-// pointers. Removal swap-deletes; lookups are exact-key and overlap checks
-// boolean, so entry order never matters. Entries are pooled and pre-bound
-// to their cache's fill-arrival callback via the bind hook, so allocation
-// is amortised to the simulation's high-water mark.
+// Layout: in-flight entries live in two parallel slices, packed 8-byte keys
+// scanned linearly and the entry pointers. Removal swap-deletes; lookups are
+// exact-key and overlap checks boolean, so entry order never matters. The
+// scan is not free: on the Fig. 12 sweep (4 kernels × 4 designs, N=64, 1 MB
+// LLC) lookup runs 3.7M times per pass and scans 31 keys on average. It
+// stays because a prototype open-addressed index over the keys measured no
+// faster end to end: 31 packed keys span four cache lines, while a hashed
+// index adds upkeep to every allocate and complete. Entries
+// are pooled and pre-bound to their cache's fill-arrival callback via the
+// bind hook, so allocation is amortised to the simulation's high-water
+// mark.
 type mshrFile struct {
 	cap  int
 	keys []uint64 // packed line keys, parallel to ents

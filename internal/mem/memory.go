@@ -123,6 +123,14 @@ type channelState struct {
 	retryArmed bool
 	retryTime  uint64
 	retryFn    func()
+
+	// blockedUntil memoises issue's "all banks busy" verdict: the earliest
+	// nextFree over the chosen queue when the last scan found no free bank.
+	// Until an arrival (which zeroes it), a serve or now reaching it, the
+	// queue, the drain state and every bank's nextFree are unchanged, so a
+	// rescan would return the same failure and the same retry cycle. 0, or
+	// any value <= now, means no verdict.
+	blockedUntil uint64
 }
 
 // Memory is the MDA main memory: functional backing store plus the timing
@@ -152,6 +160,10 @@ type Memory struct {
 
 	tr      *obs.Tracer    // nil = tracing off
 	readLat *obs.Histogram // arrive→critical-word latency (nil until Instrument)
+
+	// onBlockedSkip, when non-nil, is called at every issue that the
+	// blocked memo short-circuits (a test hook; always nil otherwise).
+	onBlockedSkip func(ch *channelState, now uint64)
 }
 
 // Instrument publishes the controller's counters in the registry — aliasing
@@ -220,7 +232,8 @@ func (m *Memory) getReq() *request {
 		} else {
 			c.readQ = append(c.readQ, r)
 		}
-		r.m.kick(c)
+		c.blockedUntil = 0
+		r.m.issue(c)
 	}
 	r.compFn = func(now, _ uint64) {
 		mm := r.m
@@ -301,53 +314,75 @@ func (m *Memory) Writeback(at uint64, line isa.LineID, mask uint8, data [isa.Wor
 	m.q.Schedule(at, req.enqFn)
 }
 
-// kick runs the channel's issue loop. It is invoked on every arrival and
-// re-scheduled when all candidate banks are busy; redundant invocations are
-// cheap no-ops.
-func (m *Memory) kick(ch *channelState) { m.issue(ch) }
-
 // issue implements FR-FCFS-WQF: serve reads first-ready-first-come,
 // switching to write-drain mode when the write queue crosses DrainHigh (or
-// when no reads are pending), back below DrainLow.
+// when no reads are pending), back below DrainLow. It runs on every arrival
+// and at every bank-busy retry; a call that the blocked memo covers skips
+// the queue scans (see channelState.blockedUntil).
 func (m *Memory) issue(ch *channelState) {
 	now := m.q.Now()
+	if now < ch.blockedUntil {
+		if m.onBlockedSkip != nil {
+			m.onBlockedSkip(ch, now)
+		}
+		m.armRetry(ch, ch.blockedUntil)
+		return
+	}
 	for {
-		if len(ch.writeQ) >= m.p.DrainHigh {
-			ch.draining = true
-		}
-		if len(ch.writeQ) <= m.p.DrainLow {
-			ch.draining = false
-		}
-		var queue *[]*request
-		switch {
-		case ch.draining && len(ch.writeQ) > 0:
-			queue = &ch.writeQ
-		case len(ch.readQ) > 0:
-			queue = &ch.readQ
-		case len(ch.writeQ) > 0:
-			queue = &ch.writeQ
-		default:
+		queue := m.selectQueue(ch)
+		if queue == nil {
 			return // idle
 		}
 		idx := pickFRFCFS(*queue, now)
 		if idx < 0 {
-			// All candidate banks busy: retry when the earliest frees up,
-			// unless an equally-early retry is already scheduled.
-			retry := ^uint64(0)
-			for _, r := range *queue {
-				if r.bank.nextFree < retry {
-					retry = r.bank.nextFree
-				}
-			}
-			if !ch.retryArmed || retry < ch.retryTime {
-				ch.retryArmed, ch.retryTime = true, retry
-				m.q.Schedule(retry, ch.retryFn)
-			}
+			// All candidate banks busy: retry when the earliest frees up.
+			ch.blockedUntil = minNextFree(*queue)
+			m.armRetry(ch, ch.blockedUntil)
 			return
 		}
 		req := (*queue)[idx]
 		*queue = append((*queue)[:idx], (*queue)[idx+1:]...)
 		m.serve(ch, req, now)
+	}
+}
+
+// selectQueue updates the drain state and returns the queue to serve from,
+// or nil when both are empty. With len(writeQ) unchanged it is idempotent.
+func (m *Memory) selectQueue(ch *channelState) *[]*request {
+	if len(ch.writeQ) >= m.p.DrainHigh {
+		ch.draining = true
+	}
+	if len(ch.writeQ) <= m.p.DrainLow {
+		ch.draining = false
+	}
+	switch {
+	case ch.draining && len(ch.writeQ) > 0:
+		return &ch.writeQ
+	case len(ch.readQ) > 0:
+		return &ch.readQ
+	case len(ch.writeQ) > 0:
+		return &ch.writeQ
+	}
+	return nil
+}
+
+// minNextFree returns the earliest cycle a bank of the queue frees up.
+func minNextFree(queue []*request) uint64 {
+	retry := ^uint64(0)
+	for _, r := range queue {
+		if r.bank.nextFree < retry {
+			retry = r.bank.nextFree
+		}
+	}
+	return retry
+}
+
+// armRetry schedules a channel retry at cycle retry, unless an
+// equally-early one is already scheduled.
+func (m *Memory) armRetry(ch *channelState, retry uint64) {
+	if !ch.retryArmed || retry < ch.retryTime {
+		ch.retryArmed, ch.retryTime = true, retry
+		m.q.Schedule(retry, ch.retryFn)
 	}
 }
 
