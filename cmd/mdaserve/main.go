@@ -3,6 +3,7 @@
 // sheds load when the queue is full, streams per-run progress, and survives
 // crashes — job state and sweep checkpoints live under -state-dir, and a
 // restarted daemon resumes interrupted jobs exactly where they stopped.
+// Without -state-dir jobs live and die with the process.
 //
 // Examples:
 //
@@ -11,9 +12,11 @@
 //	mdaserve -max-active 2 -workers 4 -max-queue 32       # sizing
 //	mdaserve -timeout 5m -max-cycles 2e9                  # default budgets
 //
-// Fleet mode: several daemons sharing one -state-dir form a work-stealing
-// fleet. Each carries a -node-id; durable jobs hold a lease that the owner
-// renews and any peer steals once it expires, so kill -9 on one node means
+// A durable daemon is a fleet of one: it runs every job under a lease whose
+// epoch fences its writes, and heartbeats its bound address into
+// <state-dir>/nodes/<node-id>.json (-node-id defaults to "local"). Daemons
+// sharing one -state-dir with distinct -node-ids form a work-stealing fleet:
+// a peer steals any job whose lease expires, so kill -9 on one node means
 // its jobs finish elsewhere, resuming from their checkpoints bit-identically:
 //
 //	mdaserve -state-dir ./state -node-id a -addr 127.0.0.1:8080
@@ -35,7 +38,8 @@
 //
 // SIGINT/SIGTERM drain gracefully: admission stops, in-flight jobs get
 // -drain-timeout to finish, stragglers are checkpointed for the next start
-// (in fleet mode their leases are released so peers pick them up at once).
+// (their leases are released so peers, or the next start, pick them up at
+// once).
 package main
 
 import (
@@ -49,12 +53,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"mdacache/internal/experiments"
 	"mdacache/internal/serve"
 )
 
@@ -70,8 +72,8 @@ func main() {
 		drainFor  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before checkpointing them")
 		flushN    = flag.Int("flush-every", 1, "runs per checkpoint flush (1 = flush after every run)")
 
-		nodeID = flag.String("node-id", "", "fleet node identity; daemons sharing -state-dir with distinct IDs form a work-stealing fleet")
-		lease  = flag.Duration("lease", 3*time.Second, "job lease duration in fleet mode; a job whose lease expires is stolen by a peer")
+		nodeID = flag.String("node-id", "", "node identity under -state-dir (empty = \""+serve.DefaultNodeID+"\"); daemons sharing -state-dir with distinct IDs form a work-stealing fleet")
+		lease  = flag.Duration("lease", 3*time.Second, "job lease duration; a job whose lease expires is stolen by a peer")
 		peers  = flag.String("peers", "", "comma-separated node base URLs for client mode (-submit/-watch)")
 
 		submit  = flag.String("submit", "", "client mode: submit the SubmitRequest JSON in this file (- for stdin) to -peers and print the response")
@@ -99,13 +101,13 @@ func main() {
 		usagef("-timeout and -drain-timeout must be non-negative")
 	}
 	if *nodeID != "" && *stateDir == "" {
-		usagef("-node-id (fleet mode) requires -state-dir")
+		usagef("-node-id requires -state-dir")
 	}
 	if *lease <= 0 {
 		usagef("-lease must be positive")
 	}
 
-	// Bind before building the server: fleet mode advertises the bound
+	// Bind before building the server: a durable node advertises the bound
 	// address (meaningful with :0) in the shared membership directory from
 	// the very first heartbeat.
 	ln, err := net.Listen("tcp", *addr)
@@ -132,16 +134,6 @@ func main() {
 	}
 
 	fmt.Printf("mdaserve: listening on %s\n", ln.Addr())
-	if *stateDir != "" && *nodeID == "" {
-		// Publish the bound address (meaningful with :0) so clients and the
-		// test harness can find a daemon by its state dir alone. Fleet nodes
-		// advertise through the membership directory instead — N daemons
-		// must not fight over one file.
-		if err := experiments.WriteFileAtomic(filepath.Join(*stateDir, "addr"),
-			[]byte(ln.Addr().String()+"\n")); err != nil {
-			fatalf("write addr file: %v", err)
-		}
-	}
 
 	// No WriteTimeout: /jobs/{id}/events streams indefinitely and ?wait=
 	// long-polls, so handlers own their write deadlines (the events handler

@@ -17,6 +17,7 @@ import (
 	"mdacache/internal/clitest"
 	"mdacache/internal/experiments"
 	"mdacache/internal/serve"
+	"mdacache/internal/serve/fleet"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, "mdacache/cmd/mdaserve") }
@@ -58,26 +59,13 @@ func stateDir(t *testing.T) string {
 }
 
 // daemon starts mdaserve against stateDir on an ephemeral port and waits for
-// the published addr file.
+// the live address it heartbeats into the membership directory under its
+// default node identity.
 func daemon(t *testing.T, stateDir string, extra ...string) (*clitest.Proc, string) {
 	t.Helper()
 	args := append([]string{"-addr", "127.0.0.1:0", "-state-dir", stateDir}, extra...)
 	p := clitest.Start(t, "mdaserve", args...)
-	addrPath := filepath.Join(stateDir, "addr")
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if data, err := os.ReadFile(addrPath); err == nil && len(data) > 0 {
-			url := "http://" + strings.TrimSpace(string(data))
-			// The addr file may be a stale one from a previous incarnation
-			// (same state dir); accept it only once the daemon answers.
-			if _, err := http.Get(url + "/healthz"); err == nil {
-				return p, url
-			}
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("daemon never published a live addr\nstderr:\n%s", p.Stderr())
-	return nil, ""
+	return p, fleet.AwaitAddr(t, stateDir, serve.DefaultNodeID, p)
 }
 
 func postJSON(t *testing.T, url string, body interface{}, out interface{}) int {

@@ -247,7 +247,7 @@ type JobStatus struct {
 	Runs []experiments.SweepRun `json:"runs,omitempty"`
 
 	// Node/NodeAddr identify the fleet node that owns (or last owned) the
-	// job. Empty outside fleet mode. A client holding a stolen job's old
+	// job. Empty without a state dir. A client holding a stolen job's old
 	// owner follows NodeAddr to the new one.
 	Node     string `json:"node,omitempty"`
 	NodeAddr string `json:"node_addr,omitempty"`
@@ -292,7 +292,7 @@ type Health struct {
 	Queued   int    `json:"queued"`
 	Running  int    `json:"running"`
 	UptimeMS int64  `json:"uptime_ms"`
-	Node     string `json:"node,omitempty"` // fleet node ID ("" single-node)
+	Node     string `json:"node,omitempty"` // node ID ("" without a state dir)
 }
 
 // FleetNode is one registered fleet member in GET /fleetz.

@@ -51,16 +51,18 @@ func Start(t testing.TB, n int, extra ...string) *Cluster {
 		c.Nodes = append(c.Nodes, &Node{ID: id, Proc: clitest.Start(t, "mdaserve", args...)})
 	}
 	for _, node := range c.Nodes {
-		c.awaitNode(t, node)
+		node.URL = AwaitAddr(t, c.State, node.ID, node.Proc)
 	}
 	return c
 }
 
-// awaitNode blocks until the node's membership record names an address that
-// answers /healthz, then records it on the node.
-func (c *Cluster) awaitNode(t testing.TB, node *Node) {
+// AwaitAddr blocks until node id's membership record under state names an
+// address that answers /healthz, and returns that base URL. A record left by
+// a dead incarnation of the same node is ignored until the live one
+// overwrites it. proc is the daemon, whose stderr a timeout reports.
+func AwaitAddr(t testing.TB, state, id string, proc *clitest.Proc) string {
 	t.Helper()
-	path := filepath.Join(c.State, "nodes", node.ID+".json")
+	path := filepath.Join(state, "nodes", id+".json")
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		data, err := os.ReadFile(path)
@@ -71,14 +73,14 @@ func (c *Cluster) awaitNode(t testing.TB, node *Node) {
 			if json.Unmarshal(data, &rec) == nil && rec.Addr != "" {
 				if resp, err := http.Get(rec.Addr + "/healthz"); err == nil {
 					resp.Body.Close()
-					node.URL = rec.Addr
-					return
+					return rec.Addr
 				}
 			}
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("fleet: %s never heartbeat a live address\nstderr:\n%s", node.ID, node.Proc.Stderr())
+	t.Fatalf("fleet: %s never heartbeat a live address\nstderr:\n%s", id, proc.Stderr())
+	return ""
 }
 
 // URLs returns every node's advertised base URL, cluster order.

@@ -105,7 +105,7 @@ func (s *Server) stealExpired() {
 		return
 	}
 
-	recs, _, err := s.store.loadJobs()
+	recs, _, err := s.store.loadJobs(true)
 	if err != nil {
 		s.logf("serve: steal scan: %v", err)
 		return
@@ -115,7 +115,7 @@ func (s *Server) stealExpired() {
 		if capacity <= 0 {
 			return
 		}
-		if rec.State.Terminal() || !rec.leaseExpired(now) {
+		if !rec.leaseExpired(now) {
 			continue
 		}
 		if st, ok := local[rec.ID]; ok && st != StateStolen {

@@ -18,7 +18,7 @@ import (
 //	                         ?from=<seq> resumes after a reconnect)
 //	DELETE /jobs/{id}        cancel
 //	GET    /healthz          liveness and load
-//	GET    /fleetz           fleet membership (fleet mode)
+//	GET    /fleetz           fleet membership (empty without a state dir)
 //
 // Every error response is an APIError JSON body with a machine-readable code.
 func (s *Server) Handler() http.Handler {
@@ -169,7 +169,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// Event streams are owner-only (the broker is in-process state): a
 		// fleet peer answers with the owner's address so the client can
 		// reconnect there instead of getting a 404 for a job that exists.
-		if s.opt.fleet() {
+		if s.store != nil {
 			if _, err := s.store.loadJob(id); err == nil {
 				writeErr(w, s.notOwnerError(id))
 				return
@@ -250,7 +250,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	st, aerr := s.Cancel(id)
-	if aerr != nil && aerr.Code == CodeNotFound && s.opt.fleet() {
+	if aerr != nil && aerr.Code == CodeNotFound && s.store != nil {
 		if _, err := s.store.loadJob(id); err == nil {
 			aerr = s.notOwnerError(id)
 		}

@@ -68,12 +68,6 @@ func (s *store) withJobLock(id string, fn func() error) error {
 	return fn()
 }
 
-// loadJob reads one job's durable record.
-func (s *store) loadJob(id string) (jobRecord, error) {
-	recs, err := readJobRecord(s.jobPath(id))
-	return recs, err
-}
-
 // claimJob takes ownership of the job for node: it succeeds when the job is
 // unowned, its lease has expired, or node already owns it (a restart under
 // the same identity). Every successful claim bumps the epoch, fencing any
@@ -122,9 +116,7 @@ func (s *store) renewJob(id, node string, epoch uint64, lease time.Duration) err
 }
 
 // saveJobFenced writes rec only while rec.Epoch still matches the on-disk
-// epoch; a stale owner gets errFenced and the file is untouched. This is the
-// write path for every job.json update a fleet node makes after its initial
-// claim.
+// epoch; a stale owner gets errFenced and the file is untouched.
 func (s *store) saveJobFenced(rec jobRecord) error {
 	return s.withJobLock(rec.ID, func() error {
 		disk, err := s.loadJob(rec.ID)

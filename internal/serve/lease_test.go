@@ -1,10 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,4 +293,242 @@ func mustSpec(t *testing.T, sr SpecRequest) experiments.RunSpec {
 	}
 	sp.Timeout = 30 * time.Minute
 	return sp
+}
+
+// TestLeaseRestartSameIdentity: a durable server with no NodeID runs under
+// DefaultNodeID, so a second incarnation started on the same state dir while
+// the first is still alive re-claims the first's jobs at once (same-node
+// rule, epoch 1 -> 2). The first incarnation's late terminal write is then
+// fenced: it reports the job stolen, and the disk ends up with exactly one
+// terminal record — the second's, with the results of a fresh run.
+func TestLeaseRestartSameIdentity(t *testing.T) {
+	dir := t.TempDir()
+	spec := mustSpec(t, smallSpec(16, 0))
+	golden, err := experiments.RunSweep(context.Background(), []experiments.RunSpec{spec}, experiments.SweepOptions{Workers: 1})
+	if err != nil {
+		t.Fatalf("golden sweep: %v", err)
+	}
+
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	sweep := blockingSweep(release)
+	s1, ts1 := testServer(t, Options{
+		StateDir: dir, Lease: time.Hour, CacheSpecs: -1,
+		runSweep: func(ctx context.Context, specs []experiments.RunSpec, opt experiments.SweepOptions) ([]experiments.SweepRun, error) {
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			return sweep(ctx, specs, opt)
+		},
+	})
+	var resp SubmitResponse
+	doJSON(t, "POST", ts1.URL+"/jobs", SubmitRequest{Specs: []SpecRequest{smallSpec(16, 0)}}, &resp)
+	select {
+	case <-entered:
+	case <-time.After(60 * time.Second):
+		t.Fatal("sweep not entered within 60s")
+	}
+
+	s2, ts2 := testServer(t, Options{StateDir: dir, Lease: time.Hour, CacheSpecs: -1})
+	j, ok := s2.Job(resp.ID)
+	if !ok {
+		t.Fatalf("job %s not re-admitted by the second incarnation", resp.ID)
+	}
+	j.mu.Lock()
+	node, epoch := j.node, j.epoch
+	j.mu.Unlock()
+	if node != DefaultNodeID || epoch != 2 {
+		t.Fatalf("re-admitted job claimed as %s@%d, want %s@2", node, epoch, DefaultNodeID)
+	}
+
+	close(release)
+	waitFor(t, func() bool {
+		st, ok := s1.Status(resp.ID, false)
+		return ok && st.State == StateStolen
+	})
+	st := waitDone(t, ts2, resp.ID)
+	if st.State != StateDone {
+		t.Fatalf("second incarnation: %s (err %v), want done", st.State, st.Error)
+	}
+	if err := experiments.DiffRunResults(golden, st.Runs); err != nil {
+		t.Fatalf("results differ from a fresh run: %v", err)
+	}
+
+	disk, err := s2.store.loadJob(resp.ID)
+	if err != nil {
+		t.Fatalf("loadJob: %v", err)
+	}
+	if disk.State != StateDone || disk.NodeID != DefaultNodeID || disk.Epoch != 2 {
+		t.Fatalf("terminal record: state %s by %s@%d, want done by %s@2", disk.State, disk.NodeID, disk.Epoch, DefaultNodeID)
+	}
+	if err := experiments.DiffRunResults(golden, disk.Runs); err != nil {
+		t.Fatalf("on-disk results differ from a fresh run: %v", err)
+	}
+	terminal := 0
+	for _, ev := range s2.store.loadEvents(resp.ID) {
+		if ev.Type == "state" && ev.State.Terminal() {
+			terminal++
+		}
+	}
+	if terminal != 1 {
+		t.Fatalf("event log holds %d terminal state events, want exactly 1", terminal)
+	}
+}
+
+// TestLeaseScanSkipsTerminal pins the live-record scan behind stealing and
+// on-disk dedup: it returns exactly the non-terminal records (a peer-held
+// one included — the caller decides on its lease), reports a corrupt record
+// as skipped, and never re-reads a record it has seen terminal.
+func TestLeaseScanSkipsTerminal(t *testing.T) {
+	held := time.Now().Add(time.Hour).UnixMilli()
+	cases := []struct {
+		id   string
+		rec  jobRecord // written as job.json unless raw is set
+		raw  string
+		live bool
+	}{
+		{id: "done", rec: jobRecord{State: StateDone, NodeID: DefaultNodeID, Epoch: 1}},
+		{id: "failed", rec: jobRecord{State: StateFailed, NodeID: DefaultNodeID, Epoch: 2}},
+		{id: "cancelled", rec: jobRecord{State: StateCancelled}},
+		{id: "queued", rec: jobRecord{State: StateQueued}, live: true},
+		{id: "checkpointed", rec: jobRecord{State: StateCheckpointed, NodeID: DefaultNodeID, Epoch: 3}, live: true},
+		{id: "peer-held", rec: jobRecord{State: StateRunning, NodeID: "peer", Epoch: 4, LeaseUntilMS: held}, live: true},
+		{id: "corrupt", raw: `{"id":"corrupt","state":`},
+	}
+	st, err := newStore(t.TempDir())
+	if err != nil {
+		t.Fatalf("newStore: %v", err)
+	}
+	var want []string
+	for i, c := range cases {
+		if c.raw != "" {
+			if err := os.MkdirAll(st.jobDir(c.id), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(st.jobPath(c.id), []byte(c.raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		c.rec.ID, c.rec.Key, c.rec.CreatedMS = c.id, "k-"+c.id, int64(i+1)
+		if err := st.saveJob(c.rec); err != nil {
+			t.Fatalf("saveJob %s: %v", c.id, err)
+		}
+		if c.live {
+			want = append(want, c.id)
+		}
+	}
+
+	scan := func() error {
+		recs, skipped, err := st.loadJobs(true)
+		if err != nil {
+			return err
+		}
+		var got []string
+		for _, rec := range recs {
+			got = append(got, rec.ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) || fmt.Sprint(skipped) != "[corrupt]" {
+			return fmt.Errorf("live scan returned %v and skipped %v, want %v and [corrupt]", got, skipped, want)
+		}
+		return nil
+	}
+	// The steal loop and submits scan concurrently; the first scans also
+	// record which jobs are terminal.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := scan(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A terminal record never changes again, so the scan does not re-read
+	// one it has seen: garbage over it is neither returned nor skipped.
+	if err := os.WriteFile(st.jobPath("done"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := scan(); err != nil {
+		t.Fatalf("after overwriting a known-terminal record: %v", err)
+	}
+}
+
+// FuzzJobRecord: every durable node scans and claims whatever job.json it
+// finds, so arbitrary bytes there must never panic the live scan or
+// claimJob. A record that decodes as non-terminal is live, is claimable by
+// its owner (or by anyone when unowned), then fences out a peer, and
+// survives a saveJob/loadJob round trip unchanged. Seeds, among them
+// testdata/parent_job.json's bytes, live in testdata/fuzz/FuzzJobRecord.
+func FuzzJobRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := newStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The job directory is named after the parent-format fixture's id,
+		// so that seed decodes as a record of this job.
+		const id = "old"
+		if err := os.MkdirAll(st.jobDir(id), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(st.jobPath(id), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec, lerr := st.loadJob(id)
+		live := lerr == nil && !rec.State.Terminal()
+
+		recs, skipped, err := st.loadJobs(true)
+		if err != nil {
+			t.Fatalf("live scan: %v", err)
+		}
+		if live != (len(recs) == 1) || (lerr != nil) != (len(skipped) == 1) {
+			t.Fatalf("live scan: %d records, skipped %v; load err %v, state %q", len(recs), skipped, lerr, rec.State)
+		}
+
+		owner := rec.NodeID
+		if owner == "" {
+			owner = DefaultNodeID
+		}
+		claimed, cerr := st.claimJob(id, owner, time.Hour)
+		switch {
+		case lerr != nil:
+			if cerr == nil {
+				t.Fatalf("claimed an unreadable record (%v)", lerr)
+			}
+			return
+		case !live:
+			if !errors.Is(cerr, errJobTerminal) {
+				t.Fatalf("claim of a %s record: %v, want errJobTerminal", rec.State, cerr)
+			}
+			return
+		case cerr != nil:
+			t.Fatalf("claim of a live %q record by %q: %v", rec.State, owner, cerr)
+		}
+		if claimed.NodeID != owner || claimed.Epoch != rec.Epoch+1 {
+			t.Fatalf("claimed as %s@%d from %s@%d", claimed.NodeID, claimed.Epoch, rec.NodeID, rec.Epoch)
+		}
+		if _, err := st.claimJob(id, owner+"-peer", time.Hour); !errors.Is(err, errLeaseHeld) {
+			t.Fatalf("peer claim of a freshly claimed record: %v, want errLeaseHeld", err)
+		}
+
+		want, err := json.Marshal(claimed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.saveJob(claimed); err != nil {
+			t.Fatalf("saveJob: %v", err)
+		}
+		back, err := st.loadJob(id)
+		if err != nil {
+			t.Fatalf("loadJob after saveJob: %v", err)
+		}
+		if got, _ := json.Marshal(back); !bytes.Equal(got, want) {
+			t.Fatalf("record changed across saveJob/loadJob:\n got %s\nwant %s", got, want)
+		}
+	})
 }

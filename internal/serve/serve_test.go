@@ -503,6 +503,16 @@ func TestParentFormatJobRecordRuns(t *testing.T) {
 	if err := experiments.DiffRunResults(golden, got.Runs); err != nil {
 		t.Fatalf("parent-format job results differ from a fresh run: %v", err)
 	}
+	// The fixture predates per-node leases: re-admission claimed it under
+	// the default identity, and every later write was fenced on that claim.
+	disk, err := st.loadJob("old")
+	if err != nil {
+		t.Fatalf("loadJob after run: %v", err)
+	}
+	if disk.State != StateDone || disk.NodeID != DefaultNodeID || disk.Epoch != 1 {
+		t.Fatalf("finished parent-format record: state %s, owner %s@%d, want done by %s@1",
+			disk.State, disk.NodeID, disk.Epoch, DefaultNodeID)
+	}
 }
 
 // TestEventsStream reads the NDJSON stream end to end and pins the event

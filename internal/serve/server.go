@@ -57,21 +57,21 @@ type Options struct {
 	// default 256; negative disables caching).
 	CacheSpecs int
 
-	// NodeID names this process in a fleet of daemons sharing StateDir.
-	// "" (the default) is single-node mode: no leases, no fencing, no steal
-	// loop — exactly the pre-fleet behavior. Fleet mode requires StateDir.
+	// NodeID names this process among the daemons sharing StateDir. A
+	// durable server always runs the lease protocol (lease.go): a lone daemon
+	// is a fleet of one. "" means DefaultNodeID, so a restart re-claims its
+	// own leases at once. Requires StateDir.
 	NodeID string
-	// Advertise is the base URL peers and clients use to reach this node
-	// (fleet mode), e.g. "http://127.0.0.1:8080". Registered in the shared
-	// membership directory on every heartbeat.
+	// Advertise is the base URL peers and clients use to reach this node,
+	// e.g. "http://127.0.0.1:8080". Registered in the shared membership
+	// directory on every heartbeat.
 	Advertise string
 	// Lease is how long a job claim lasts without renewal before any peer
 	// may steal it. Default 3s. Renewal runs every Lease/3, so a node must
 	// miss two consecutive renewals (or die) to lose a job.
 	Lease time.Duration
 	// CacheDisk bounds the shared on-disk spec-result cache under StateDir
-	// (entries; negative disables). Default 1024 in fleet mode, disabled in
-	// single-node mode where the in-memory cache plus checkpoints suffice.
+	// (entries; negative disables). Default 1024 with a StateDir.
 	CacheDisk int
 
 	// Log receives operational lines (nil = silent).
@@ -104,8 +104,13 @@ func (o Options) withDefaults() Options {
 	if o.Lease == 0 {
 		o.Lease = 3 * time.Second
 	}
-	if o.CacheDisk == 0 && o.NodeID != "" {
-		o.CacheDisk = 1024
+	if o.StateDir != "" {
+		if o.CacheDisk == 0 {
+			o.CacheDisk = 1024
+		}
+		if o.NodeID == "" {
+			o.NodeID = DefaultNodeID
+		}
 	}
 	if o.runSweep == nil {
 		o.runSweep = experiments.RunSweep
@@ -113,8 +118,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// fleet reports whether the server runs in fleet mode (lease/steal protocol).
-func (o Options) fleet() bool { return o.NodeID != "" }
+// DefaultNodeID is a durable server's identity when Options.NodeID is empty.
+const DefaultNodeID = "local"
 
 // Server is the job service: admission control in front of a bounded queue,
 // a dispatcher feeding at most MaxActive concurrent sweeps, durable job state
@@ -149,7 +154,7 @@ type Server struct {
 	// draining Retry-After hint is the remaining budget. Guarded by mu.
 	drainDeadline time.Time
 
-	fleetStopped chan struct{} // fleet loop exited (nil outside fleet mode)
+	fleetStopped chan struct{} // fleet loop exited (nil without a store)
 
 	wg sync.WaitGroup // running jobs
 
@@ -179,8 +184,8 @@ func New(opt Options) (*Server, error) {
 	}
 	s.baseCtx, s.baseCut = context.WithCancel(context.Background())
 
-	if opt.fleet() && opt.StateDir == "" {
-		return nil, fmt.Errorf("serve: fleet mode (NodeID %q) requires a StateDir", opt.NodeID)
+	if opt.NodeID != "" && opt.StateDir == "" {
+		return nil, fmt.Errorf("serve: NodeID %q requires a StateDir", opt.NodeID)
 	}
 	if opt.StateDir != "" {
 		st, err := newStore(opt.StateDir)
@@ -191,7 +196,7 @@ func New(opt Options) (*Server, error) {
 		if opt.CacheDisk > 0 {
 			s.dcache = newDiskSpecCache(opt.StateDir, opt.CacheDisk)
 		}
-		recs, skipped, err := st.loadJobs()
+		recs, skipped, err := st.loadJobs(false)
 		if err != nil {
 			return nil, err
 		}
@@ -199,43 +204,38 @@ func New(opt Options) (*Server, error) {
 			s.logf("serve: skipping unreadable job dir %s", dir)
 		}
 		for _, rec := range recs {
-			if rec.State.Terminal() {
-				j := jobFromRecord(rec)
-				close(j.done)
-				j.broker.Close()
-				s.jobs[j.id] = j
-				continue
-			}
-			if opt.fleet() {
+			if !rec.State.Terminal() {
 				// A peer may own (or be finishing) this job: only re-admit
 				// what we can claim. Unclaimable jobs stay off the local map;
-				// their statuses are served from disk.
+				// their statuses are served from disk. Our own identity's
+				// leases are always claimable, fencing an older incarnation.
 				claimed, cerr := st.claimJob(rec.ID, opt.NodeID, opt.Lease)
-				switch {
-				case errors.Is(cerr, errLeaseHeld):
-					continue
-				case errors.Is(cerr, errJobTerminal):
-					if fresh, lerr := st.loadJob(rec.ID); lerr == nil {
-						j := jobFromRecord(fresh)
-						close(j.done)
-						j.broker.Close()
-						s.jobs[j.id] = j
-					}
-					continue
-				case cerr != nil:
-					s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
+				if cerr == nil {
+					// Interrupted job: back to the queue, resuming from its
+					// checkpoint. The prior owner's progress is on disk.
+					s.readmitLocked(claimed, "re-admitted")
 					continue
 				}
-				rec = claimed
+				if !errors.Is(cerr, errJobTerminal) {
+					if !errors.Is(cerr, errLeaseHeld) {
+						s.logf("serve: cannot claim job %s: %v", rec.ID, cerr)
+					}
+					continue
+				}
+				// It finished after the scan: serve the terminal record.
+				if rec, cerr = st.loadJob(rec.ID); cerr != nil {
+					continue
+				}
 			}
-			// Interrupted job: back to the queue, resuming from its
-			// checkpoint. The prior process's partial progress is on disk.
-			s.readmitLocked(rec, "re-admitted")
+			j := jobFromRecord(rec)
+			close(j.done)
+			j.broker.Close()
+			s.jobs[j.id] = j
 		}
 	}
 
 	go s.dispatch()
-	if opt.fleet() {
+	if s.store != nil {
 		s.fleetStopped = make(chan struct{})
 		go s.fleetLoop()
 	}
@@ -333,7 +333,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, *APIError) {
 		prior.mu.Unlock()
 		return SubmitResponse{ID: prior.id, State: state, Deduped: true}, nil
 	}
-	if s.opt.fleet() {
+	if s.store != nil {
 		// A peer may already hold an identical job: single-flight onto the
 		// fleet-wide copy so concurrent clients hitting different nodes
 		// still share one simulation.
@@ -351,7 +351,7 @@ func (s *Server) Submit(req SubmitRequest) (SubmitResponse, *APIError) {
 		return SubmitResponse{}, aerr
 	}
 	j := newJob(newJobID(), key, specs, budget, time.Now())
-	if s.opt.fleet() {
+	if s.store != nil {
 		j.node = s.opt.NodeID
 		j.epoch = 1
 	}
@@ -493,12 +493,12 @@ func (s *Server) observeJobDuration(d time.Duration) {
 // dedupOnDiskLocked looks for a live (non-terminal) job with the same dedup
 // key anywhere in the fleet's shared store. Caller holds s.mu.
 func (s *Server) dedupOnDiskLocked(key string) (id string, state State, ok bool) {
-	recs, _, err := s.store.loadJobs()
+	recs, _, err := s.store.loadJobs(true)
 	if err != nil {
 		return "", "", false
 	}
 	for _, rec := range recs {
-		if rec.Key == key && !rec.State.Terminal() {
+		if rec.Key == key {
 			return rec.ID, rec.State, true
 		}
 	}
@@ -507,14 +507,8 @@ func (s *Server) dedupOnDiskLocked(key string) (id string, state State, ok bool)
 
 // resolveAddr maps a fleet node ID to its advertised base URL.
 func (s *Server) resolveAddr(node string) string {
-	if node == "" {
-		return ""
-	}
 	if node == s.opt.NodeID {
 		return s.opt.Advertise
-	}
-	if s.store == nil {
-		return ""
 	}
 	return s.store.nodeAddr(node)
 }
@@ -557,7 +551,7 @@ func (s *Server) Status(id string, includeRuns bool) (JobStatus, bool) {
 		return JobStatus{}, false
 	}
 	st := j.status(pos, includeRuns)
-	if s.opt.fleet() {
+	if s.store != nil {
 		j.mu.Lock()
 		node, stolen := j.node, j.state == StateStolen
 		j.mu.Unlock()
@@ -581,7 +575,7 @@ func (s *Server) StatusAny(id string, includeRuns bool) (JobStatus, bool) {
 	if st, ok := s.Status(id, includeRuns); ok {
 		return st, true
 	}
-	if !s.opt.fleet() {
+	if s.store == nil {
 		return JobStatus{}, false
 	}
 	rec, err := s.store.loadJob(id)
@@ -844,8 +838,6 @@ func (s *Server) runJob(j *job) {
 	}
 	if s.store != nil {
 		opt.StatePath = s.store.checkpointPath(j.id)
-	}
-	if s.opt.fleet() {
 		// Fence every checkpoint flush on the claim epoch: a stolen job's
 		// old owner must not clobber the thief's resumed state. A refused
 		// flush aborts the sweep with experiments.ErrStateConflict.
@@ -952,21 +944,20 @@ func (s *Server) runCached(ctx context.Context, spec experiments.RunSpec, ins ex
 }
 
 // finishJob moves a job to a terminal state, persists it and closes its
-// stream. In fleet mode the terminal record is persisted under the claim
-// epoch *before* the in-memory commit: if a peer stole the job during the
-// final flush the fenced write refuses, we mark the job stolen instead, and
-// exactly one terminal record (the thief's, when it finishes) ever exists.
+// stream. The terminal record is persisted under the claim epoch *before*
+// the in-memory commit: if a peer (or a newer incarnation of this node)
+// claimed the job during the final flush the fenced write refuses, we mark
+// the job stolen instead, and exactly one terminal record (the thief's, when
+// it finishes) ever exists.
 func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aerr *APIError) {
 	j.mu.Lock()
 	if j.state.Terminal() || j.state == StateStolen {
 		j.mu.Unlock()
 		return
 	}
-	fenced := s.opt.fleet() && j.epoch > 0
-	var rec jobRecord
-	if fenced {
-		finished := time.Now()
-		rec = j.recordLocked()
+	finished := time.Now()
+	if s.store != nil {
+		rec := j.recordLocked()
 		rec.State = state
 		rec.Error = aerr
 		rec.FinishedMS = msTime(finished)
@@ -985,10 +976,8 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 			j.mu.Unlock()
 			return
 		}
-		j.finished = finished
-	} else {
-		j.finished = time.Now()
 	}
+	j.finished = finished
 	j.state = state
 	j.err = aerr
 	j.runs = runs
@@ -996,7 +985,6 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 	j.completed, j.failed, j.resumed = 0, 0, 0
 	tallyRuns(j, runs)
 	started := j.started
-	finished := j.finished
 	close(j.done)
 	j.notifyLocked()
 	j.mu.Unlock()
@@ -1008,10 +996,6 @@ func (s *Server) finishJob(j *job, runs []experiments.SweepRun, state State, aer
 	s.mu.Unlock()
 	if !started.IsZero() {
 		s.observeJobDuration(finished.Sub(started))
-	}
-
-	if !fenced {
-		s.persistAndLog(j)
 	}
 	s.publish(j, func(ev *JobEvent) {
 		ev.Type = "state"
@@ -1068,9 +1052,9 @@ func (s *Server) markStolen(j *job) {
 }
 
 // parkJob records an interrupted (non-terminal) job so a restart resumes it.
-// The event stream stays open — the job is not finished, merely paused. In
-// fleet mode the park also releases the lease, so a peer steals the job
-// immediately instead of waiting out the expiry.
+// The event stream stays open — the job is not finished, merely paused. The
+// park also releases the lease, so a peer steals the job immediately instead
+// of waiting out the expiry.
 func (s *Server) parkJob(j *job, state State) {
 	j.mu.Lock()
 	if j.state.Terminal() || j.state == StateStolen {
@@ -1080,16 +1064,12 @@ func (s *Server) parkJob(j *job, state State) {
 	j.state = state
 	j.cancel = nil
 	j.notifyLocked()
-	fenced := s.opt.fleet() && j.epoch > 0
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	if fenced {
-		rec.LeaseUntilMS = 0 // stealable now
-		if err := s.store.saveJobFenced(rec); err != nil && !errors.Is(err, errFenced) {
+	if s.store != nil {
+		if err := s.store.releaseLease(rec); err != nil && !errors.Is(err, errFenced) {
 			s.logf("%v", err)
 		}
-	} else {
-		s.persistAndLog(j)
 	}
 	s.publish(j, func(ev *JobEvent) {
 		ev.Type = "state"
@@ -1150,9 +1130,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// persist writes the job's durable record (no-op without a state dir). In
-// fleet mode the write is fenced on the claim epoch and preserves whatever
-// lease expiry the renewal loop last wrote.
+// persist writes the job's durable record (no-op without a state dir). The
+// write is fenced on the claim epoch and preserves whatever lease expiry the
+// renewal loop last wrote; a refused write means the job was stolen.
 func (s *Server) persist(j *job) error {
 	if s.store == nil {
 		return nil
@@ -1160,14 +1140,11 @@ func (s *Server) persist(j *job) error {
 	j.mu.Lock()
 	rec := j.recordLocked()
 	j.mu.Unlock()
-	if s.opt.fleet() && rec.Epoch > 0 {
-		err := s.store.saveJobKeepLease(rec, s.opt.Lease)
-		if errors.Is(err, errFenced) {
-			s.markStolen(j)
-		}
-		return err
+	err := s.store.saveJobKeepLease(rec, s.opt.Lease)
+	if errors.Is(err, errFenced) {
+		s.markStolen(j)
 	}
-	return s.store.saveJob(rec)
+	return err
 }
 
 func (s *Server) persistAndLog(j *job) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"mdacache/internal/experiments"
@@ -30,9 +31,9 @@ type jobRecord struct {
 	StartedMS  int64 `json:"started_ms,omitempty"`
 	FinishedMS int64 `json:"finished_ms,omitempty"`
 
-	// Fleet lease (zero/absent on single-node records): the node that owns
-	// the job, the instant its ownership lapses, and the fencing epoch that
-	// is bumped on every claim. See lease.go for the protocol.
+	// Lease: the node that owns the job, the instant its ownership lapses,
+	// and the fencing epoch that is bumped on every claim. Absent only on
+	// records never claimed since being written. See lease.go.
 	NodeID       string `json:"node_id,omitempty"`
 	LeaseUntilMS int64  `json:"lease_until_ms,omitempty"`
 	Epoch        uint64 `json:"epoch,omitempty"`
@@ -54,6 +55,11 @@ type store struct {
 	dir     string
 	retries int
 	backoff time.Duration
+
+	// terminal holds the IDs of jobs a scan has seen terminal. A terminal
+	// record never changes again (claimJob refuses it and every later write
+	// is fenced), so a live-only scan never re-reads one.
+	terminal sync.Map
 }
 
 func newStore(dir string) (*store, error) {
@@ -107,7 +113,12 @@ func (s *store) saveJob(rec jobRecord) error {
 // submission order). A job directory with a corrupt or missing job.json is
 // skipped with a note rather than failing the whole daemon: one damaged job
 // must not hold the rest of the state dir hostage.
-func (s *store) loadJobs() (recs []jobRecord, skipped []string, err error) {
+//
+// liveOnly restricts the scan to non-terminal records, the ones a node may
+// claim or dedup onto. Jobs already seen terminal are then not re-read, so an
+// idle steal scan or a submit's dedup scan costs one directory listing plus
+// the live records, however long the history.
+func (s *store) loadJobs(liveOnly bool) (recs []jobRecord, skipped []string, err error) {
 	entries, err := os.ReadDir(s.jobsDir())
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
@@ -116,13 +127,20 @@ func (s *store) loadJobs() (recs []jobRecord, skipped []string, err error) {
 		return nil, nil, fmt.Errorf("serve: scan state dir: %w", err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
+		id := e.Name()
+		if _, known := s.terminal.Load(id); !e.IsDir() || liveOnly && known {
 			continue
 		}
-		rec, rerr := readJobRecord(s.jobPath(e.Name()))
+		rec, rerr := s.loadJob(id)
 		if rerr != nil {
-			skipped = append(skipped, e.Name())
+			skipped = append(skipped, id)
 			continue
+		}
+		if rec.State.Terminal() {
+			s.terminal.Store(id, true)
+			if liveOnly {
+				continue
+			}
 		}
 		recs = append(recs, rec)
 	}
@@ -135,10 +153,12 @@ func (s *store) loadJobs() (recs []jobRecord, skipped []string, err error) {
 	return recs, skipped, nil
 }
 
-// readJobRecord decodes one job.json. A missing file surfaces as
-// os.ErrNotExist; a present-but-empty record is corruption.
-func readJobRecord(path string) (jobRecord, error) {
+// loadJob reads one job's durable record. A missing file surfaces as
+// os.ErrNotExist; a record that is empty or names another job is corruption
+// (saving it back would write outside its own directory).
+func (s *store) loadJob(id string) (jobRecord, error) {
 	var rec jobRecord
+	path := s.jobPath(id)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return rec, err
@@ -146,8 +166,8 @@ func readJobRecord(path string) (jobRecord, error) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return rec, fmt.Errorf("serve: decode %s: %w", path, err)
 	}
-	if rec.ID == "" {
-		return rec, fmt.Errorf("serve: %s: record has no id", path)
+	if rec.ID != id {
+		return rec, fmt.Errorf("serve: %s: record has id %q", path, rec.ID)
 	}
 	return rec, nil
 }
