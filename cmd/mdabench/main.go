@@ -41,7 +41,6 @@ import (
 
 	"mdacache/internal/experiments"
 	"mdacache/internal/obs"
-	"mdacache/internal/perf"
 	"mdacache/internal/stats"
 )
 
@@ -50,19 +49,15 @@ var figNames = []string{"10", "11", "12", "13", "14", "15", "16", "17", "layout"
 
 func main() {
 	var (
-		fig         = flag.String("fig", "all", "figure: "+strings.Join(figNames, ", ")+", or all")
-		scale       = flag.Int("scale", 4, "scale divisor (1 = paper scale)")
-		csv         = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		verb        = flag.Bool("v", false, "log each simulation as it runs")
-		timeout     = flag.Duration("timeout", 0, "wall-clock budget per simulation (0 = unlimited)")
-		maxCycles   = flag.Uint64("max-cycles", 0, "simulated-cycle budget per simulation (0 = unlimited)")
-		resume      = flag.String("resume", "", "JSON state file: checkpoint finished runs and resume from them")
-		workers     = flag.Int("workers", runtime.GOMAXPROCS(0), "figures simulated concurrently in -fig all mode (1 = sequential); results and output order are identical for any value")
-		profile     = flag.Bool("profile", false, "print a per-run phase profile (compile/build/simulate wall time, cycles, events) to stderr at the end")
-		benchOut    = flag.String("bench-out", "", "run the simulator benchmark suite and write a BENCH_<n>.json baseline to this path (skips figure rendering)")
-		benchSte    = flag.String("bench-suite", "full", "benchmark suite for -bench-out: quick (PR smoke) or full (baseline)")
-		benchBase   = flag.String("bench-baseline", "", "after -bench-out, compare against this earlier BENCH_<n>.json and print per-scenario speedups")
-		benchStrict = flag.Bool("bench-strict", false, "with -bench-baseline: exit non-zero if any scenario exists in only one baseline (a rename or dropped benchmark would otherwise hide a regression)")
+		fig       = flag.String("fig", "all", "figure: "+strings.Join(figNames, ", ")+", or all")
+		scale     = flag.Int("scale", 4, "scale divisor (1 = paper scale)")
+		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		verb      = flag.Bool("v", false, "log each simulation as it runs")
+		timeout   = flag.Duration("timeout", 0, "wall-clock budget per simulation (0 = unlimited)")
+		maxCycles = flag.Uint64("max-cycles", 0, "simulated-cycle budget per simulation (0 = unlimited)")
+		resume    = flag.String("resume", "", "JSON state file: checkpoint finished runs and resume from them")
+		workers   = flag.Int("workers", runtime.GOMAXPROCS(0), "figures simulated concurrently in -fig all mode (1 = sequential); results and output order are identical for any value")
+		profile   = flag.Bool("profile", false, "print a per-run phase profile (compile/build/simulate wall time, cycles, events) to stderr at the end")
 	)
 	flag.Parse()
 	if *scale < 1 {
@@ -70,16 +65,6 @@ func main() {
 	}
 	if flag.NArg() > 0 {
 		usagef("unexpected arguments: %v", flag.Args())
-	}
-	if *benchBase != "" && *benchOut == "" {
-		usagef("-bench-baseline requires -bench-out")
-	}
-	if *benchStrict && *benchBase == "" {
-		usagef("-bench-strict requires -bench-baseline")
-	}
-	if *benchOut != "" {
-		runBench(*benchOut, *benchSte, *benchBase, *benchStrict)
-		return
 	}
 
 	var log io.Writer
@@ -326,51 +311,6 @@ func main() {
 		if err := render(strings.TrimSpace(f), os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "mdabench:", err)
 			os.Exit(1)
-		}
-	}
-}
-
-// runBench records a performance baseline of the simulator itself (see
-// internal/perf and the "Benchmarking" section of EXPERIMENTS.md). The
-// scenario set mirrors the root bench_test.go figures; the JSON artifact is
-// the committed BENCH_<n>.json trajectory.
-func runBench(out, suite, baseline string, strict bool) {
-	// Benchmarking is minutes of silence without progress lines; always
-	// narrate to stderr (stdout stays reserved for the compare table).
-	progress := io.Writer(os.Stderr)
-	fmt.Fprintf(progress, "mdabench: running %s benchmark suite (this takes a while)\n", suite)
-	b, err := perf.Run(suite, progress)
-	if err != nil {
-		if strings.Contains(err.Error(), "unknown suite") {
-			usagef("%v", err)
-		}
-		fmt.Fprintln(os.Stderr, "mdabench:", err)
-		os.Exit(1)
-	}
-	if err := b.WriteFile(out); err != nil {
-		fmt.Fprintln(os.Stderr, "mdabench:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(progress, "mdabench: wrote %s (%d scenarios)\n", out, len(b.Results))
-	if baseline != "" {
-		old, err := perf.LoadBaseline(baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mdabench:", err)
-			os.Exit(1)
-		}
-		deltas, geo, skipped := perf.Compare(old, b)
-		if len(deltas) == 0 {
-			fmt.Fprintln(os.Stderr, "mdabench: no overlapping scenarios between baselines")
-			os.Exit(1)
-		}
-		fmt.Print(perf.FormatCompare(deltas, geo, skipped))
-		if len(skipped) > 0 {
-			fmt.Fprintf(os.Stderr, "mdabench: WARNING: %d scenario(s) not compared: %s\n",
-				len(skipped), strings.Join(skipped, "; "))
-			if strict {
-				fmt.Fprintln(os.Stderr, "mdabench: -bench-strict: unmatched scenarios are an error")
-				os.Exit(1)
-			}
 		}
 	}
 }

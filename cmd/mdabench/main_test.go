@@ -60,7 +60,7 @@ func TestUsageErrors(t *testing.T) {
 		{"zero scale", []string{"-fig", "12", "-scale", "0"}, "-scale must be"},
 		{"positional args", []string{"-fig", "12", "stray"}, "unexpected arguments"},
 		{"corrupt resume", []string{"-fig", "12", "-scale", "32", "-resume", corrupt}, "checkpoint"},
-		{"strict without baseline", []string{"-bench-strict"}, "-bench-strict requires -bench-baseline"},
+		{"removed bench flag", []string{"-bench-out", "x.json"}, "flag provided but not defined"},
 	}
 	for _, c := range cases {
 		c := c

@@ -306,11 +306,14 @@ func TwoLevelConfig(d Design, llcBytes int) Config {
 // Associativity, latencies and memory parameters are unchanged.
 func (c Config) Scale(k int) Config {
 	g1, g2, g3 := c.levelGranularity()
-	div := func(p *CacheParams, gran, factor int) {
+	// L2 and L3 divide by k twice: the quotient of k*k, without its overflow.
+	div := func(p *CacheParams, gran int, factors ...int) {
 		if p.SizeBytes == 0 {
 			return
 		}
-		p.SizeBytes /= factor
+		for _, f := range factors {
+			p.SizeBytes /= f
+		}
 		if min := p.Assoc * gran; p.SizeBytes < min {
 			p.SizeBytes = min
 		}
@@ -318,8 +321,8 @@ func (c Config) Scale(k int) Config {
 		p.SizeBytes -= p.SizeBytes % (p.Assoc * gran)
 	}
 	div(&c.L1, g1, k)
-	div(&c.L2, g2, k*k)
-	div(&c.L3, g3, k*k)
+	div(&c.L2, g2, k, k)
+	div(&c.L3, g3, k, k)
 	// A scaled L2 must still be strictly larger than the L1.
 	if c.L2.SizeBytes <= c.L1.SizeBytes {
 		c.L2.SizeBytes = 2 * c.L1.SizeBytes

@@ -115,6 +115,22 @@ func TestScaleClampsToGranularity(t *testing.T) {
 	}
 }
 
+// TestScaleHugeDivisor: k*k overflows to zero at k = 1<<32, so a scale that
+// large once divided by zero. It must instead clamp every level to its
+// minimum, like any scale beyond the capacities.
+func TestScaleHugeDivisor(t *testing.T) {
+	want := DefaultConfig(D1DiffSet, 1*MB).Scale(1 << 16).L3.SizeBytes
+	for _, k := range []int{1 << 32, 1<<62 + 1} {
+		cfg := DefaultConfig(D1DiffSet, 1*MB).Scale(k)
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("Scale(%d): %v", k, err)
+		}
+		if cfg.L3.SizeBytes != want {
+			t.Fatalf("Scale(%d): LLC %d B, want the clamped %d B", k, cfg.L3.SizeBytes, want)
+		}
+	}
+}
+
 func TestTwoLevelConfig(t *testing.T) {
 	cfg := TwoLevelConfig(D2Sparse, 2*MB)
 	if cfg.L3.SizeBytes != 0 {

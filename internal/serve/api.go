@@ -19,6 +19,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mdacache/internal/core"
@@ -140,7 +141,8 @@ type SpecRequest struct {
 }
 
 // Spec resolves the request into a RunSpec, applying mdasim's defaulting
-// rules. Budgets are not set here; the job layer owns them.
+// rules, and rejects any spec the run itself would reject. Budgets are not
+// set here; the job layer owns them.
 func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 	if !workloads.Valid(r.Bench) {
 		return experiments.RunSpec{}, fmt.Errorf("unknown benchmark %q", r.Bench)
@@ -167,13 +169,20 @@ func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 	if llcKB == 0 {
 		llcKB = 1024
 	}
-	if llcKB < 1 {
-		return experiments.RunSpec{}, fmt.Errorf("llc_kb must be >= 1 (got %d)", llcKB)
+	if llcKB < 1 || llcKB > math.MaxInt/1024 {
+		return experiments.RunSpec{}, fmt.Errorf("llc_kb must be in [1, %d] (got %d)", math.MaxInt/1024, llcKB)
 	}
 	if r.WriteFailProb < 0 || r.WriteFailProb >= 1 {
 		return experiments.RunSpec{}, fmt.Errorf("write_fail_prob must be in [0, 1) (got %g)", r.WriteFailProb)
 	}
-	return experiments.RunSpec{
+	// Negative values would run silently as their zero default.
+	if r.TileSize < 0 {
+		return experiments.RunSpec{}, fmt.Errorf("tile_size must be >= 0 (got %d)", r.TileSize)
+	}
+	if r.SubBuffers < 0 {
+		return experiments.RunSpec{}, fmt.Errorf("sub_buffers must be >= 0 (got %d)", r.SubBuffers)
+	}
+	spec := experiments.RunSpec{
 		Bench:         r.Bench,
 		N:             n,
 		Design:        design,
@@ -186,7 +195,13 @@ func (r SpecRequest) Spec() (experiments.RunSpec, error) {
 		SubBuffers:    r.SubBuffers,
 		WriteFailProb: r.WriteFailProb,
 		FaultSeed:     r.FaultSeed,
-	}, nil
+	}
+	// The run builds its machine from Config first; refusing here turns an
+	// unknown tech or an invalid geometry into a 400 instead of a failed run.
+	if _, err := spec.Config(); err != nil {
+		return experiments.RunSpec{}, err
+	}
+	return spec, nil
 }
 
 // SubmitRequest is the body of POST /jobs: one or more specs plus optional

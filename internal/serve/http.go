@@ -73,10 +73,17 @@ func writeErr(w http.ResponseWriter, aerr *APIError) {
 	writeJSON(w, status, aerr)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit reads a POST /jobs body. A submission is specs, not data, so
+// only its first MiB is read.
+func decodeSubmit(body io.Reader) (SubmitRequest, error) {
 	var req SubmitRequest
-	body := io.LimitReader(r.Body, 1<<20) // a submission is specs, not data
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	err := json.NewDecoder(io.LimitReader(body, 1<<20)).Decode(&req)
+	return req, err
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(r.Body)
+	if err != nil {
 		writeErr(w, apiErrorf(CodeBadRequest, "malformed JSON: %v", err))
 		return
 	}

@@ -532,3 +532,66 @@ func FuzzJobRecord(f *testing.F) {
 		}
 	})
 }
+
+// specFields prints every field of a RunSpec; %+v of a RunSpec itself
+// prints only its String().
+type specFields experiments.RunSpec
+
+// FuzzSubmitRequest: POST /jobs bodies are arbitrary bytes. Decoding and
+// validating one must never panic; every spec it accepts must build a
+// machine config (so it cannot fail later as a run); an accepted spec
+// survives a JSON round trip as the same RunSpec, every field and so its
+// SpecKey included; and an accepted budget stays within the server maxima.
+// Seeds, one per TestValidation row plus a valid two-spec request and a
+// scale whose square overflows, live in testdata/fuzz/FuzzSubmitRequest.
+func FuzzSubmitRequest(f *testing.F) {
+	servers := []*Server{
+		{opt: Options{}.withDefaults()},
+		{opt: Options{MaxMaxCycles: 1e6, MaxRunTimeout: time.Minute}.withDefaults()},
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeSubmit(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i, sr := range req.Specs {
+			spec, err := sr.Spec()
+			if err != nil {
+				continue
+			}
+			if _, err := spec.Config(); err != nil {
+				t.Fatalf("spec %d %+v accepted but Config fails: %v", i, sr, err)
+			}
+			raw, err := json.Marshal(sr)
+			if err != nil {
+				t.Fatalf("spec %d: marshal: %v", i, err)
+			}
+			var back SpecRequest
+			if err := json.Unmarshal(raw, &back); err != nil {
+				t.Fatalf("spec %d: unmarshal %s: %v", i, raw, err)
+			}
+			again, err := back.Spec()
+			if err != nil {
+				t.Fatalf("spec %d: round trip %s rejected: %v", i, raw, err)
+			}
+			if again != spec {
+				t.Fatalf("spec %d: round trip %s changed the spec:\n %+v\n %+v", i, raw, specFields(spec), specFields(again))
+			}
+		}
+		for _, s := range servers {
+			b, aerr := s.resolveBudget(req)
+			if aerr != nil {
+				continue
+			}
+			if b.RunTimeoutMS < 0 || b.DeadlineMS < 0 {
+				t.Fatalf("negative budget accepted: %+v", b)
+			}
+			if max := s.opt.MaxMaxCycles; max > 0 && (b.MaxCycles == 0 || b.MaxCycles > max) {
+				t.Fatalf("max_cycles %d exceeds the maximum %d", b.MaxCycles, max)
+			}
+			if max := s.opt.MaxRunTimeout.Milliseconds(); max > 0 && (b.RunTimeoutMS == 0 || b.RunTimeoutMS > max) {
+				t.Fatalf("run_timeout_ms %d exceeds the maximum %d", b.RunTimeoutMS, max)
+			}
+		}
+	})
+}

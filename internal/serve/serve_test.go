@@ -140,6 +140,10 @@ func TestValidation(t *testing.T) {
 		{Specs: []SpecRequest{{Bench: "sgemm", Design: "9Z9Z"}}}, // bad design
 		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", Scale: -1}}},
 		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", WriteFailProb: 1.5}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", Tech: "bogus"}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", TileSize: -4}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", SubBuffers: -3}}},
+		{Specs: []SpecRequest{{Bench: "sgemm", Design: "1P1L", LLCKB: 1<<54 + 1}}}, // ×1024 wraps to 1 KB
 	}
 	for i, req := range cases {
 		var aerr APIError
